@@ -47,7 +47,7 @@ let dead_row ~cls ~problem ~mechanism ~domains status =
     throughput_per_s = 0.; p50_ns = 0; p99_ns = 0 }
 
 (* One measured cell. The class restriction is a creation-time property
-   (Target builds the whole solution under [Prims.with_class]), so an
+   (Target builds the whole solution in a [`Prim c] tier scope), so an
    inexpressible primitive surfaces as {!Prims.Unsupported} from
    [Target.create] — before any worker runs — and is a typed result.
    Anything the self-checking resources throw mid-run (overlap,

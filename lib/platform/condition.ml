@@ -1,15 +1,11 @@
 module Probe = Sync_trace.Probe
-module Prims = Sync_prims.Prims
-module Queuelock = Sync_prims.Queuelock
 
-(* A condition pairs with whatever mutex the caller hands to [wait], and
-   adaptive (Fast) mutexes cannot use [Stdlib.Condition.wait] — that
-   needs a stdlib mutex to atomically release. So every real-thread
-   condition carries two faces: the plain stdlib condvar [sys] for
-   waits under Sys mutexes, and a private park lot [pk_m]/[pk_c]/[seq]
-   for waits under Fast mutexes. The dispatch happens per wait, on the
-   mutex's impl, because conditions are routinely created at runtime
-   (Waitq allocates one per wait) and must work with either tier.
+(* A condition pairs with whatever mutex the caller hands to [wait],
+   and only a stdlib mutex can feed [Stdlib.Condition.wait]. So every
+   real-thread condition is a private park lot [pk_m]/[pk_c]/[seq] that
+   releases and re-acquires the user mutex through its own [ops]
+   closures, whatever the tier; conditions are routinely created at
+   runtime (Waitq allocates one per wait) and must work with any tier.
 
    Park protocol: the waiter takes [pk_m], snapshots [seq], bumps
    [parked], and only then releases the user mutex; a signaler that ran
@@ -19,24 +15,20 @@ module Queuelock = Sync_prims.Queuelock
    having moved, so a signal can wake more than one parked waiter
    spuriously — allowed by the Mesa contract (every caller re-checks
    its predicate). *)
-type t =
-  | Det of Detrt.cond
-  | Real of real
+type t = Det of Detrt.cond | Real of real
 
 and real = {
-  sys : Stdlib.Condition.t;
   pk_m : Stdlib.Mutex.t;
   pk_c : Stdlib.Condition.t;
   mutable seq : int; (* guarded by pk_m *)
-  parked : int Atomic.t; (* fast-mutex waiters parked or about to park *)
+  parked : int Atomic.t; (* waiters parked or about to park *)
 }
 
 let create () =
   if Detrt.active () then Det (Detrt.cond ())
   else
     Real
-      { sys = Stdlib.Condition.create ();
-        pk_m = Stdlib.Mutex.create ();
+      { pk_m = Stdlib.Mutex.create ();
         pk_c = Stdlib.Condition.create ();
         seq = 0;
         parked = Atomic.make 0 }
@@ -62,65 +54,19 @@ let worlds_mismatch () =
 let wait c (m : Mutex.t) =
   close_hold m;
   (match (c, m.Mutex.impl) with
-  | Real r, Mutex.Sys sm -> Stdlib.Condition.wait r.sys sm
-  | Real r, Mutex.Fast f ->
+  | Real r, Mutex.Lock o ->
     Stdlib.Mutex.lock r.pk_m;
     let s = r.seq in
     Atomic.incr r.parked;
-    Mutex.fast_unlock_raw f;
+    o.Mutex.unlock ();
     while r.seq = s do
       Stdlib.Condition.wait r.pk_c r.pk_m
     done;
     Atomic.decr r.parked;
     Stdlib.Mutex.unlock r.pk_m;
-    Mutex.fast_lock_raw f
-  | Real r, Mutex.Prim p ->
-    (* Class-restricted (E25) mutexes park exactly like Fast ones: the
-       prim lock cannot feed [Stdlib.Condition.wait] either, so reuse
-       the park lot with the prim's own release/acquire. *)
-    Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
-    Atomic.incr r.parked;
-    p.Prims.lk_unlock ();
-    while r.seq = s do
-      Stdlib.Condition.wait r.pk_c r.pk_m
-    done;
-    Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    p.Prims.lk_lock ()
-  | Real r, Mutex.Queue q ->
-    (* Queue-tier (E23) mutexes park like Fast/Prim ones, releasing and
-       re-acquiring through the queue lock's own closures. *)
-    Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
-    Atomic.incr r.parked;
-    q.Queuelock.qk_unlock ();
-    while r.seq = s do
-      Stdlib.Condition.wait r.pk_c r.pk_m
-    done;
-    Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    q.Queuelock.qk_lock ()
-  | Real r, Mutex.Swap sw ->
-    (* Swappable (E27) sites park the same way; the re-acquire goes
-       back through the indirection, so a waiter parked across a tier
-       flip wakes up into the site's new tier. *)
-    Stdlib.Mutex.lock r.pk_m;
-    let s = r.seq in
-    Atomic.incr r.parked;
-    Mutex.swap_unlock_raw sw;
-    while r.seq = s do
-      Stdlib.Condition.wait r.pk_c r.pk_m
-    done;
-    Atomic.decr r.parked;
-    Stdlib.Mutex.unlock r.pk_m;
-    Mutex.swap_lock_raw sw
+    o.Mutex.lock ()
   | Det c, Mutex.Det dm -> Detrt.cond_wait c dm
-  | Real _, Mutex.Det _
-  | ( Det _,
-      ( Mutex.Sys _ | Mutex.Fast _ | Mutex.Prim _ | Mutex.Queue _
-      | Mutex.Swap _ ) ) ->
-    worlds_mismatch ());
+  | Real _, Mutex.Det _ | Det _, Mutex.Lock _ -> worlds_mismatch ());
   reopen_hold m
 
 (* Timed wait by bounded polling: stdlib condition variables have no
@@ -136,26 +82,10 @@ let wait_for c (m : Mutex.t) ~deadline =
   else begin
     close_hold m;
     (match m.Mutex.impl with
-    | Mutex.Sys sm ->
-      Stdlib.Mutex.unlock sm;
+    | Mutex.Lock o ->
+      o.Mutex.unlock ();
       Thread.yield ();
-      Stdlib.Mutex.lock sm
-    | Mutex.Fast f ->
-      Mutex.fast_unlock_raw f;
-      Thread.yield ();
-      Mutex.fast_lock_raw f
-    | Mutex.Prim p ->
-      p.Prims.lk_unlock ();
-      Thread.yield ();
-      p.Prims.lk_lock ()
-    | Mutex.Queue q ->
-      q.Queuelock.qk_unlock ();
-      Thread.yield ();
-      q.Queuelock.qk_lock ()
-    | Mutex.Swap sw ->
-      Mutex.swap_unlock_raw sw;
-      Thread.yield ();
-      Mutex.swap_lock_raw sw
+      o.Mutex.lock ()
     | Mutex.Det dm ->
       Detrt.mutex_unlock dm;
       Detrt.yield ();
@@ -164,24 +94,20 @@ let wait_for c (m : Mutex.t) ~deadline =
     true
   end
 
+(* Wake parked waiters, if any, with [notify] ([Stdlib.Condition.signal]
+   or [broadcast]) on the lot. *)
+let wake r notify =
+  if Atomic.get r.parked > 0 then begin
+    Stdlib.Mutex.lock r.pk_m;
+    r.seq <- r.seq + 1;
+    notify r.pk_c;
+    Stdlib.Mutex.unlock r.pk_m
+  end
+
 let signal = function
   | Det c -> Detrt.cond_signal c
-  | Real r ->
-    Stdlib.Condition.signal r.sys;
-    if Atomic.get r.parked > 0 then begin
-      Stdlib.Mutex.lock r.pk_m;
-      r.seq <- r.seq + 1;
-      Stdlib.Condition.signal r.pk_c;
-      Stdlib.Mutex.unlock r.pk_m
-    end
+  | Real r -> wake r Stdlib.Condition.signal
 
 let broadcast = function
   | Det c -> Detrt.cond_broadcast c
-  | Real r ->
-    Stdlib.Condition.broadcast r.sys;
-    if Atomic.get r.parked > 0 then begin
-      Stdlib.Mutex.lock r.pk_m;
-      r.seq <- r.seq + 1;
-      Stdlib.Condition.broadcast r.pk_c;
-      Stdlib.Mutex.unlock r.pk_m
-    end
+  | Real r -> wake r Stdlib.Condition.broadcast

@@ -6,14 +6,13 @@
     Semantics follow the stdlib contract (Mesa-style: a woken waiter
     re-acquires the mutex and must re-check its predicate).
 
-    Real-thread conditions work with both mutex tiers: waits under a
-    default (Sys) mutex use the stdlib condition variable directly,
-    while waits under an adaptive (Fast) mutex park on a private
-    sequence-numbered lot inside the condition. The dispatch happens
-    per [wait], on the mutex the caller passes, so a condition created
-    at any time pairs correctly with either tier. Signals may wake
-    fast-tier waiters spuriously (the lot is level-triggered); callers
-    already absorb that with their predicate loops. *)
+    Real-thread conditions work with every mutex tier: a waiter parks
+    on a private sequence-numbered lot inside the condition, releasing
+    and re-acquiring the mutex the caller passes through that mutex's
+    own lock closures, so a condition created at any time pairs
+    correctly with any tier. Signals may wake waiters spuriously (the
+    lot is level-triggered); callers already absorb that with their
+    predicate loops. *)
 
 type t
 

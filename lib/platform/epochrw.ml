@@ -85,9 +85,9 @@ let read_lock t =
        and it waits for us. *)
     if Atomic.get t.wr = 1 then begin
       Atomic.set slot (e + 2);
-      let b = Backoff.create () in
+      let b = Sync_prims.Backoff.create () in
       while Atomic.get t.wr = 1 do
-        Backoff.once b
+        Sync_prims.Backoff.once b
       done;
       enter ()
     end
@@ -108,9 +108,9 @@ let write_lock t =
     (fun slot ->
       let v = Atomic.get slot in
       if v land 1 = 1 then begin
-        let b = Backoff.create () in
+        let b = Sync_prims.Backoff.create () in
         while Atomic.get slot = v do
-          Backoff.once b
+          Sync_prims.Backoff.once b
         done
       end)
     t.slots

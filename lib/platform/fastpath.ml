@@ -1,20 +1,1 @@
-(* One process-wide switch, consulted at primitive *creation* time only.
-   Keeping the decision out of the hot paths means a default-tier mutex
-   costs exactly what it did before this module existed, and a fast-tier
-   mutex never re-checks the flag while locking. *)
-
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
-
-(* Deterministic runs must stay deterministic: inside [Detrt.run] the
-   scheduler owns every blocking decision, so the adaptive tier — whose
-   whole point is to race CAS attempts against real parallel threads —
-   is forced off no matter what the flag says. *)
-let active () = Atomic.get enabled_flag && not (Detrt.active ())
-
-let with_enabled f =
-  let prev = Atomic.get enabled_flag in
-  Atomic.set enabled_flag true;
-  Fun.protect ~finally:(fun () -> Atomic.set enabled_flag prev) f
+let with_enabled f = Sync_prims.Tier.with_ `Fast f

@@ -1,34 +1,12 @@
-(** Opt-in switch for the contention-adaptive fast-path tier (E22).
+(** The contention-adaptive fast-path tier (E22), by its historical
+    name.
 
-    The platform primitives ({!Mutex}, {!Semaphore}) consult this flag
-    once, at creation time. When the flag is on — and the code is not
-    running under {!Detrt} — newly created primitives use the adaptive
-    implementations: CAS fast paths, bounded spin-then-park, and
-    fetch-and-add semaphore accounting. Primitives created while the
-    flag is off keep the stdlib-backed default tier, so the two tiers
-    coexist freely in one process and observable semantics (mutual
-    exclusion, weak/strong semaphore contracts, Mesa conditions) are
-    identical across tiers.
-
-    Inside a {!Detrt} deterministic run the tier is always off:
-    adaptive primitives resolve races with real atomic operations,
-    which would bypass the recorded scheduler. {!active} encodes that
-    guard. *)
-
-val enabled : unit -> bool
-(** Current state of the process-wide flag. *)
-
-val enable : unit -> unit
-(** Turn the fast-path tier on for subsequently created primitives. *)
-
-val disable : unit -> unit
-(** Turn the fast-path tier off for subsequently created primitives. *)
-
-val active : unit -> bool
-(** [enabled () && not (Detrt.active ())] — true when a primitive
-    created right now would use the fast tier. *)
+    Primitives created inside {!with_enabled} — and not under {!Detrt},
+    which outranks every tier scope — use the adaptive implementations:
+    CAS fast paths, bounded spin-then-park, and fetch-and-add weak
+    semaphore accounting. Observable semantics (mutual exclusion,
+    weak/strong semaphore contracts, Mesa conditions) are identical
+    across tiers. *)
 
 val with_enabled : (unit -> 'a) -> 'a
-(** [with_enabled f] runs [f] with the flag on, restoring the previous
-    state on any exit. Used by the workload layer to build fast-tier
-    target instances. *)
+(** [with_enabled f] is [Sync_prims.Tier.with_ `Fast f]. *)

@@ -1,71 +1,29 @@
 module Probe = Sync_trace.Probe
 module Prims = Sync_prims.Prims
 module Queuelock = Sync_prims.Queuelock
+module Tier = Sync_prims.Tier
+module Backoff = Sync_prims.Backoff
 
-(* Adaptive (futex-style) mutex state: a single atomic int.
-   0 = unlocked; 1 = locked, no waiter ever parked since last unlock;
-   2 = locked, and some thread may be parked (or about to park) on [pc].
-   Lock is a CAS 0->1; on failure a bounded randomized spin, then a
-   park loop that pessimistically exchanges in 2 so the eventual
-   unlocker knows a signal is owed. Unlock exchanges in 0 and signals
-   only when the old state was 2 — the uncontended round trip is two
-   atomic operations and never touches [pm]/[pc]. *)
-type fast = {
-  state : int Atomic.t;
-  pm : Stdlib.Mutex.t;
-  pc : Stdlib.Condition.t;
+type ops = {
+  lock : unit -> unit;
+  try_lock : unit -> bool;
+  unlock : unit -> unit;
+  tier : Tier.t;
 }
 
-(* Hot-swappable (E27) mutex: one extra indirection through an atomic
-   [cur] cell so the adaptive controller can retier a live site. The
-   swap protocol is epoch-quiesced in the Epochrw sense — the swapper
-   itself is the grace period:
-
-     swap:    lock the old cell; publish the new cell to [cur];
-              unlock the old cell.
-     acquire: read [cur]; lock that cell; re-read [cur]; if it moved,
-              unlock and retry on the new cell, else enter.
-
-   Exclusion: a thread is in the critical section only while holding a
-   cell it observed equal to [cur] *after* locking it. A swap away from
-   that cell must first acquire it, which blocks until the holder
-   leaves; until the swap publishes, every other acquirer routes to the
-   same cell. Stragglers that locked the old cell after the swap see
-   [cur] moved, back out, and retry — the old impl drains. Cells are
-   never reused across swaps (each flip allocates a fresh cell), so the
-   physical-equality re-check cannot be fooled by A-B-A. *)
-type swap_cell =
-  | C_sys of Stdlib.Mutex.t
-  | C_fast of fast
-  | C_queue of Queuelock.lock
-
-type swap = {
-  cur : swap_cell Atomic.t;
-  (* The cell the current critical-section owner actually locked.
-     Written after a successful re-check, read at unlock; both happen
-     with the cell lock held, and consecutive owners are ordered by the
-     cell locks plus the [cur] swap chain, so plain mutable is safe. *)
-  mutable held : swap_cell;
-}
-
-type impl =
-  | Sys of Stdlib.Mutex.t
-  | Det of Detrt.mutex
-  | Fast of fast
-  | Prim of Prims.lock
-  | Queue of Queuelock.lock
-  | Swap of swap
+type impl = Det of Detrt.mutex | Lock of ops
 
 type t = {
   impl : impl;
-  (* Watchdog resource id for the Sys/Fast halves; -1 when the watchdog
-     was off at creation. Det mutexes carry their own id inside Detrt. *)
+  (* Watchdog resource id; -1 when the watchdog was off at creation.
+     Det mutexes carry their own id inside Detrt. *)
   rid : int;
   name : string;
   (* Timestamp of the last successful acquire by the current holder; 0
      when tracing is off. Written only under the lock, so plain mutable
      is safe. Condition.wait resets it when the waiter re-acquires. *)
   mutable acquired_at : int;
+  cur : ops Atomic.t option;
 }
 
 (* The retierable universe: the tiers a swappable site can move
@@ -98,96 +56,28 @@ let tier_of_index = function
   | 4 -> Some (`Queue Queuelock.Ticket)
   | _ -> None
 
-let make_cell : tier -> swap_cell = function
-  | `Sys -> C_sys (Stdlib.Mutex.create ())
-  | `Fast ->
-    C_fast
-      { state = Atomic.make 0;
-        pm = Stdlib.Mutex.create ();
-        pc = Stdlib.Condition.create () }
-  | `Queue k -> C_queue (Queuelock.make_lock k)
+(* -- the static tiers ---------------------------------------------- *)
 
-let cell_tier = function
-  | C_sys _ -> `Sys
-  | C_fast _ -> `Fast
-  | C_queue q -> `Queue q.Queuelock.qk_kind
+let sys_ops () =
+  let m = Stdlib.Mutex.create () in
+  { lock = (fun () -> Stdlib.Mutex.lock m);
+    try_lock = (fun () -> Stdlib.Mutex.try_lock m);
+    unlock = (fun () -> Stdlib.Mutex.unlock m);
+    tier = `Default }
 
-(* Creation-scoped opt-in for swappable mutexes, the same shape as
-   [Fastpath.with_enabled]. The scope also owns the site registry the
-   adaptive controller enumerates: entering a scope starts an empty
-   registry, leaving restores the previous one, so a controller only
-   ever sees the sites of its own run. *)
-let swappable_flag = Atomic.make false
+let prim_ops c =
+  let p = Prims.make_lock c in
+  { lock = p.Prims.lk_lock;
+    try_lock = p.Prims.lk_try;
+    unlock = p.Prims.lk_unlock;
+    tier = `Prim c }
 
-let swappable_selected () =
-  Atomic.get swappable_flag && not (Detrt.active ())
-
-let sites_lock = Stdlib.Mutex.create ()
-
-let sites : t list ref = ref []
-
-let swap_sites () =
-  Stdlib.Mutex.lock sites_lock;
-  let s = !sites in
-  Stdlib.Mutex.unlock sites_lock;
-  s
-
-let with_swappable f =
-  let saved_flag = Atomic.get swappable_flag in
-  Stdlib.Mutex.lock sites_lock;
-  (* Clear on entry, keep on exit: the controller typically starts
-     after the build scope closes (Target.create wraps only the
-     build), and must still be able to enumerate the run's sites. The
-     next scope clears the slate. *)
-  sites := [];
-  Stdlib.Mutex.unlock sites_lock;
-  Atomic.set swappable_flag true;
-  Fun.protect
-    ~finally:(fun () -> Atomic.set swappable_flag saved_flag)
-    f
-
-let create ?(name = "mutex") () =
-  if Detrt.active () then
-    { impl = Det (Detrt.mutex ()); rid = -1; name; acquired_at = 0 }
-  else begin
-    let impl =
-      (* Precedence: Det (above) > Swap (E27 adaptive scope) > Prim
-         (E25 class restriction) > Queue (E23 scalable-lock tier) >
-         Fast (E22 adaptive tier) > Sys. *)
-      if swappable_selected () then begin
-        let c = make_cell `Sys in
-        Swap { cur = Atomic.make c; held = c }
-      end
-      else
-        match Prims.selected () with
-        | Some c -> Prim (Prims.make_lock c)
-        | None -> (
-          match Queuelock.selected () with
-          | Some k -> Queue (Queuelock.make_lock k)
-          | None ->
-          if Fastpath.active () then
-            Fast
-              { state = Atomic.make 0;
-                pm = Stdlib.Mutex.create ();
-                pc = Stdlib.Condition.create () }
-          else Sys (Stdlib.Mutex.create ()))
-    in
-    let t =
-      { impl;
-        rid =
-          (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
-           else -1);
-        name;
-        acquired_at = 0 }
-    in
-    (match t.impl with
-    | Swap _ ->
-      Stdlib.Mutex.lock sites_lock;
-      sites := t :: !sites;
-      Stdlib.Mutex.unlock sites_lock
-    | _ -> ());
-    t
-  end
+let queue_ops k =
+  let q = Queuelock.make_lock k in
+  { lock = q.Queuelock.qk_lock;
+    try_lock = q.Queuelock.qk_try;
+    unlock = q.Queuelock.qk_unlock;
+    tier = `Queue k }
 
 (* How many backoff rounds to spin before parking. Backoff doubles its
    randomized spin bound each round, so this covers short critical
@@ -214,160 +104,220 @@ let set_spin_rounds n =
   if n < 0 then invalid_arg "Mutex.set_spin_rounds: negative round count";
   Atomic.set spin_rounds_cell n
 
-let fast_lock_raw f =
-  if not (Atomic.compare_and_set f.state 0 1) then begin
-    (* Bounded spin: cheap loads with exponential backoff between CAS
-       retries, so brief contention never pays a futex round trip. *)
-    let b = Backoff.create () in
-    let rec spin n =
-      n > 0
-      && ((Atomic.get f.state = 0 && Atomic.compare_and_set f.state 0 1)
-         ||
-         (Backoff.once b;
-          spin (n - 1)))
+(* Adaptive (futex-style) mutex state: a single atomic int.
+   0 = unlocked; 1 = locked, no waiter ever parked since last unlock;
+   2 = locked, and some thread may be parked (or about to park) on [pc].
+   Lock is a CAS 0->1; on failure a bounded randomized spin, then a
+   park loop that pessimistically exchanges in 2 so the eventual
+   unlocker knows a signal is owed. Unlock exchanges in 0 and signals
+   only when the old state was 2 — the uncontended round trip is two
+   atomic operations and never touches [pm]/[pc]. *)
+let fast_lock_slow state pm pc =
+  (* Bounded spin: cheap loads with exponential backoff between CAS
+     retries, so brief contention never pays a futex round trip. *)
+  let b = Backoff.create () in
+  let rec spin n =
+    n > 0
+    && ((Atomic.get state = 0 && Atomic.compare_and_set state 0 1)
+       ||
+       (Backoff.once b;
+        spin (n - 1)))
+  in
+  if not (spin (spin_rounds ())) then begin
+    (* Park. From here on we advertise 2 (waiters present): whoever
+       unlocks while the state is 2 must signal. The exchange both
+       attempts the acquire and publishes the pessimistic state. *)
+    let rec park () =
+      if Atomic.exchange state 2 <> 0 then begin
+        Stdlib.Mutex.lock pm;
+        (* Re-check under [pm]: unlock signals under [pm], so either
+           the state already left 2 (no sleep) or the signal cannot
+           fire before we are actually waiting. Spurious wakeups just
+           re-run the exchange. *)
+        if Atomic.get state = 2 then Stdlib.Condition.wait pc pm;
+        Stdlib.Mutex.unlock pm;
+        park ()
+      end
     in
-    if not (spin (spin_rounds ())) then begin
-      (* Park. From here on we advertise 2 (waiters present): whoever
-         unlocks while the state is 2 must signal. The exchange both
-         attempts the acquire and publishes the pessimistic state. *)
-      let rec park () =
-        if Atomic.exchange f.state 2 <> 0 then begin
-          Stdlib.Mutex.lock f.pm;
-          (* Re-check under [pm]: unlock signals under [pm], so either
-             the state already left 2 (no sleep) or the signal cannot
-             fire before we are actually waiting. Spurious wakeups just
-             re-run the exchange. *)
-          if Atomic.get f.state = 2 then Stdlib.Condition.wait f.pc f.pm;
-          Stdlib.Mutex.unlock f.pm;
-          park ()
-        end
-      in
-      park ()
+    park ()
+  end
+
+let fast_ops () =
+  let state = Atomic.make 0 in
+  let pm = Stdlib.Mutex.create () and pc = Stdlib.Condition.create () in
+  { lock =
+      (fun () ->
+        if not (Atomic.compare_and_set state 0 1) then
+          fast_lock_slow state pm pc);
+    try_lock = (fun () -> Atomic.compare_and_set state 0 1);
+    unlock =
+      (fun () ->
+        if Atomic.exchange state 0 = 2 then begin
+          Stdlib.Mutex.lock pm;
+          Stdlib.Condition.signal pc;
+          Stdlib.Mutex.unlock pm
+        end);
+    tier = `Fast }
+
+let cell_ops : tier -> ops = function
+  | `Sys -> sys_ops ()
+  | `Fast -> fast_ops ()
+  | `Queue k -> queue_ops k
+
+let cell_tier (o : ops) : tier =
+  match o.tier with
+  | `Fast -> `Fast
+  | `Queue k -> `Queue k
+  | `Default | `Prim _ | `Adaptive -> `Sys
+
+(* -- hot-swappable sites (E27) ------------------------------------- *)
+
+(* A swappable site routes every operation through an atomic [cur]
+   cell so the adaptive controller can retier it live. The swap
+   protocol is epoch-quiesced in the Epochrw sense — the swapper itself
+   is the grace period:
+
+     swap:    lock the old cell; publish the new cell to [cur];
+              unlock the old cell.
+     acquire: read [cur]; lock that cell; re-read [cur]; if it moved,
+              unlock and retry on the new cell, else enter.
+
+   Exclusion: a thread is in the critical section only while holding a
+   cell it observed equal to [cur] *after* locking it. A swap away from
+   that cell must first acquire it, which blocks until the holder
+   leaves; until the swap publishes, every other acquirer routes to the
+   same cell. Stragglers that locked the old cell after the swap see
+   [cur] moved, back out, and retry — the old impl drains. Cells are
+   never reused across swaps (each flip allocates a fresh cell), so the
+   physical-equality re-check cannot be fooled by A-B-A. The retry loop
+   terminates because each iteration rides a distinct published swap,
+   and swaps are controller-paced. *)
+let swap_ops cur =
+  (* The cell the current critical-section owner actually locked.
+     Written after a successful re-check, read at unlock; both happen
+     with the cell lock held, and consecutive owners are ordered by the
+     cell locks plus the [cur] swap chain, so a plain ref is safe. *)
+  let held = ref (Atomic.get cur) in
+  let rec lock () =
+    let c = Atomic.get cur in
+    c.lock ();
+    if Atomic.get cur == c then held := c
+    else begin
+      c.unlock ();
+      lock ()
     end
-  end
-
-let fast_unlock_raw f =
-  if Atomic.exchange f.state 0 = 2 then begin
-    Stdlib.Mutex.lock f.pm;
-    Stdlib.Condition.signal f.pc;
-    Stdlib.Mutex.unlock f.pm
-  end
-
-(* -- hot-swap cell operations -------------------------------------- *)
-
-let cell_lock_raw = function
-  | C_sys m -> Stdlib.Mutex.lock m
-  | C_fast f -> fast_lock_raw f
-  | C_queue q -> q.Queuelock.qk_lock ()
-
-let cell_try_raw = function
-  | C_sys m -> Stdlib.Mutex.try_lock m
-  | C_fast f -> Atomic.compare_and_set f.state 0 1
-  | C_queue q -> q.Queuelock.qk_try ()
-
-let cell_unlock_raw = function
-  | C_sys m -> Stdlib.Mutex.unlock m
-  | C_fast f -> fast_unlock_raw f
-  | C_queue q -> q.Queuelock.qk_unlock ()
-
-(* Acquire through the indirection: lock the cell [cur] points at, then
-   re-check [cur]. A swap can only publish while holding the cell it
-   replaces, so observing [cur == c] with [c] locked proves no newer
-   cell is (or can become) lockable until we release — see the protocol
-   note on [swap]. The retry loop terminates because each iteration
-   rides a distinct published swap, and swaps are controller-paced. *)
-let rec swap_lock_raw s =
-  let c = Atomic.get s.cur in
-  cell_lock_raw c;
-  if Atomic.get s.cur == c then s.held <- c
-  else begin
-    cell_unlock_raw c;
-    swap_lock_raw s
-  end
-
-let swap_unlock_raw s = cell_unlock_raw s.held
-
-let rec swap_try_raw s =
-  let c = Atomic.get s.cur in
-  if cell_try_raw c then
-    if Atomic.get s.cur == c then begin
-      s.held <- c;
+  in
+  let rec try_lock () =
+    let c = Atomic.get cur in
+    c.try_lock ()
+    &&
+    if Atomic.get cur == c then begin
+      held := c;
       true
     end
     else begin
-      cell_unlock_raw c;
-      swap_try_raw s
+      c.unlock ();
+      try_lock ()
     end
-  else false
+  in
+  { lock; try_lock; unlock = (fun () -> !held.unlock ()); tier = `Adaptive }
 
-let current_tier t =
-  match t.impl with
-  | Swap s -> Some (cell_tier (Atomic.get s.cur))
-  | _ -> None
+(* The scope also owns the site registry the adaptive controller
+   enumerates: {!with_swappable} starts an empty registry, so a
+   controller only ever sees the sites of its own run. *)
+let sites_lock = Stdlib.Mutex.create ()
+
+let sites : t list ref = ref []
+
+let swap_sites () =
+  Stdlib.Mutex.lock sites_lock;
+  let s = !sites in
+  Stdlib.Mutex.unlock sites_lock;
+  s
+
+let with_swappable f =
+  Stdlib.Mutex.lock sites_lock;
+  (* Clear on entry, keep on exit: the controller typically starts
+     after the build scope closes (Target.create wraps only the
+     build), and must still be able to enumerate the run's sites. The
+     next scope clears the slate. *)
+  sites := [];
+  Stdlib.Mutex.unlock sites_lock;
+  Tier.with_ `Adaptive f
+
+let current_tier t = Option.map (fun cur -> cell_tier (Atomic.get cur)) t.cur
 
 let rec swap_to t tier =
-  match t.impl with
-  | Swap s ->
-    let old = Atomic.get s.cur in
+  match t.cur with
+  | None -> false
+  | Some cur ->
+    let old = Atomic.get cur in
     if cell_tier old = tier then false
     else begin
-      cell_lock_raw old;
-      if Atomic.get s.cur != old then begin
+      old.lock ();
+      if Atomic.get cur != old then begin
         (* Lost a race with a concurrent swapper: back out and retry
            against the freshly published cell. *)
-        cell_unlock_raw old;
+        old.unlock ();
         swap_to t tier
       end
       else begin
         (* We hold the live cell: every acquirer either waits on it or
            will fail its re-check. Publish the fresh cell — new
            arrivals route there immediately — then drain by release. *)
-        Atomic.set s.cur (make_cell tier);
-        cell_unlock_raw old;
+        Atomic.set cur (cell_ops tier);
+        old.unlock ();
         Probe.instant Flip ~site:t.name ~arg:(tier_index tier);
         true
       end
     end
-  | _ -> false
+
+(* -- the façade ----------------------------------------------------- *)
+
+let create ?(name = "mutex") () =
+  if Detrt.active () then
+    { impl = Det (Detrt.mutex ()); rid = -1; name; acquired_at = 0;
+      cur = None }
+  else begin
+    let ops, cur =
+      match Tier.current () with
+      | `Default | `Prim Prims.Native -> (sys_ops (), None)
+      | `Fast -> (fast_ops (), None)
+      | `Prim c -> (prim_ops c, None)
+      | `Queue k -> (queue_ops k, None)
+      | `Adaptive ->
+        let cur = Atomic.make (sys_ops ()) in
+        (swap_ops cur, Some cur)
+    in
+    let t =
+      { impl = Lock ops;
+        rid =
+          (if Deadlock.enabled () then Deadlock.register ~kind:"mutex" ()
+           else -1);
+        name;
+        acquired_at = 0;
+        cur }
+    in
+    if Option.is_some cur then begin
+      Stdlib.Mutex.lock sites_lock;
+      sites := t :: !sites;
+      Stdlib.Mutex.unlock sites_lock
+    end;
+    t
+  end
+
+let[@inline] watched t = t.rid >= 0 && Deadlock.enabled ()
 
 let lock t =
   let t0 = Probe.now () in
   (match t.impl with
-  | Sys m ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
+  | Lock o ->
+    if watched t then begin
       Deadlock.blocked t.rid;
-      Stdlib.Mutex.lock m;
+      o.lock ();
       Deadlock.acquired t.rid
     end
-    else Stdlib.Mutex.lock m
-  | Fast f ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      fast_lock_raw f;
-      Deadlock.acquired t.rid
-    end
-    else fast_lock_raw f
-  | Prim p ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      p.Prims.lk_lock ();
-      Deadlock.acquired t.rid
-    end
-    else p.Prims.lk_lock ()
-  | Queue q ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      q.Queuelock.qk_lock ();
-      Deadlock.acquired t.rid
-    end
-    else q.Queuelock.qk_lock ()
-  | Swap s ->
-    if t.rid >= 0 && Deadlock.enabled () then begin
-      Deadlock.blocked t.rid;
-      swap_lock_raw s;
-      Deadlock.acquired t.rid
-    end
-    else swap_lock_raw s
+    else o.lock ()
   | Det m -> Detrt.mutex_lock m);
   if t0 <> 0 then begin
     Probe.span Acquire ~site:t.name ~since:t0 ~arg:0;
@@ -380,45 +330,17 @@ let unlock t =
     t.acquired_at <- 0
   end;
   match t.impl with
-  | Sys m ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    Stdlib.Mutex.unlock m
-  | Fast f ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    fast_unlock_raw f
-  | Prim p ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    p.Prims.lk_unlock ()
-  | Queue q ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    q.Queuelock.qk_unlock ()
-  | Swap s ->
-    if t.rid >= 0 && Deadlock.enabled () then Deadlock.released t.rid;
-    swap_unlock_raw s
+  | Lock o ->
+    if watched t then Deadlock.released t.rid;
+    o.unlock ()
   | Det m -> Detrt.mutex_unlock m
 
 let try_lock t =
   let ok =
     match t.impl with
-    | Sys m ->
-      let ok = Stdlib.Mutex.try_lock m in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Fast f ->
-      let ok = Atomic.compare_and_set f.state 0 1 in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Prim p ->
-      let ok = p.Prims.lk_try () in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Queue q ->
-      let ok = q.Queuelock.qk_try () in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
-      ok
-    | Swap s ->
-      let ok = swap_try_raw s in
-      if ok && t.rid >= 0 && Deadlock.enabled () then Deadlock.acquired t.rid;
+    | Lock o ->
+      let ok = o.try_lock () in
+      if ok && watched t then Deadlock.acquired t.rid;
       ok
     | Det m -> Detrt.mutex_try_lock m
   in
@@ -448,7 +370,7 @@ let try_lock_for t ~timeout_ns =
       end
     in
     loop ()
-  | Sys _ | Fast _ | Prim _ | Queue _ | Swap _ ->
+  | Lock _ ->
     (* Queue-tier timed attempts poll [try_lock] too: the queue locks'
        try never publishes a waiter node, so a timeout cannot strand a
        wakeup in the FIFO queue. *)

@@ -9,75 +9,49 @@
     When the {!Deadlock} watchdog is enabled at creation time the mutex
     reports its holder/waiter edges to the wait-for graph.
 
-    When {!Fastpath} is active at creation time the mutex instead uses
-    the contention-adaptive tier (E22): a single-word atomic with a CAS
-    fast path, a bounded randomized spin on contention, and a parked
-    slow path on a private stdlib mutex/condition pair. The observable
-    contract is identical; only the cost profile changes.
+    Outside a deterministic run the mutex is built on the tier of the
+    innermost open {!Sync_prims.Tier} scope (a {!Detrt} run outranks
+    every scope):
 
-    When a {!Sync_prims.Prims} class is selected at creation time (E25
-    hierarchy runs) the mutex is instead built from that restricted
-    atomic class — bakery on read/write registers, test-and-CAS on CAS,
-    ticket on fetch-and-add, or an LL/SC-emulated lock.
+    - [`Default] — a stdlib (system) mutex.
+    - [`Fast] — the contention-adaptive tier (E22): a single-word
+      atomic with a CAS fast path, a bounded randomized spin on
+      contention, and a parked slow path on a private stdlib
+      mutex/condition pair.
+    - [`Prim c] — a lock built from the restricted atomic class [c]
+      (E25): bakery on read/write registers, test-and-CAS on CAS,
+      ticket on fetch-and-add, or an LL/SC-emulated lock.
+      [`Prim Native] builds a [`Default] mutex.
+    - [`Queue k] — a queue lock with local spinning (E23): MCS, CLH, or
+      a proportional-backoff ticket lock, whose contended handoff
+      touches one waiter's cache line instead of invalidating every
+      spinner.
+    - [`Adaptive] — a hot-swappable site (E27), see below.
 
-    When a {!Sync_prims.Queuelock} kind is selected at creation time
-    (E23 scalable-lock runs) the mutex is a queue lock with local
-    spinning — MCS, CLH, or a proportional-backoff ticket lock — whose
-    contended handoff touches one waiter's cache line instead of
-    invalidating every spinner. Selection precedence is Det > Prim >
-    Queue > Fast > Sys.
+    The observable contract is identical on every tier; only the cost
+    profile changes.
 
-    The representation is exposed so that {!Condition} can pair det
-    conditions with det mutexes and park waiters of adaptive mutexes;
-    treat it as internal. *)
+    The representation is exposed so that {!Condition} can release and
+    re-acquire a mutex around a park; treat it as internal. *)
 
-type fast = {
-  state : int Atomic.t;
-  pm : Stdlib.Mutex.t;
-  pc : Stdlib.Condition.t;
+type ops = {
+  lock : unit -> unit;
+  try_lock : unit -> bool;
+  unlock : unit -> unit;
+  tier : Sync_prims.Tier.t;  (** the scope the lock was built under *)
 }
+(** One real-thread lock, as closures built once at creation. *)
 
-(** Hot-swappable (E27) cell: the static impl a swappable site is
-    currently routed to. Cells are never reused across swaps, so the
-    acquire re-check can rely on physical equality. *)
-type swap_cell =
-  | C_sys of Stdlib.Mutex.t
-  | C_fast of fast
-  | C_queue of Sync_prims.Queuelock.lock
-
-type swap = { cur : swap_cell Atomic.t; mutable held : swap_cell }
-
-type impl =
-  | Sys of Stdlib.Mutex.t
-  | Det of Detrt.mutex
-  | Fast of fast
-  | Prim of Sync_prims.Prims.lock
-  | Queue of Sync_prims.Queuelock.lock
-  | Swap of swap
+type impl = Det of Detrt.mutex | Lock of ops
 
 type t = {
   impl : impl;
   rid : int;
   name : string;
   mutable acquired_at : int;
+  cur : ops Atomic.t option;
+      (** a swappable site's current cell; [None] for other mutexes *)
 }
-
-val fast_lock_raw : fast -> unit
-(** Acquire the adaptive lock with no probe/watchdog bookkeeping.
-    Internal: used by {!Condition} to re-acquire after a park. *)
-
-val fast_unlock_raw : fast -> unit
-(** Release the adaptive lock with no probe/watchdog bookkeeping.
-    Internal: used by {!Condition} to release before a park. *)
-
-val swap_lock_raw : swap -> unit
-(** Acquire a swappable site with no probe/watchdog bookkeeping: lock
-    the current cell, re-check the indirection, retry if a swap was
-    published in between. Internal: used by {!Condition}. *)
-
-val swap_unlock_raw : swap -> unit
-(** Release the cell the current holder actually locked. Internal:
-    used by {!Condition}. *)
 
 val create : ?name:string -> unit -> t
 (** System mutex normally; deterministic mutex inside a {!Detrt} run.
@@ -97,18 +71,19 @@ val try_lock : t -> bool
 val try_lock_for : t -> timeout_ns:int64 -> bool
 (** [try_lock_for t ~timeout_ns] polls {!try_lock} until it succeeds or
     the monotonic deadline passes; [true] iff the lock was acquired.
-    Real-thread polling uses {!Backoff} exponential backoff between
-    attempts. Deterministic under {!Detrt} (the timeout becomes a poll
-    budget, see {!Deadline}, and every poll is a scheduling point). *)
+    Real-thread polling uses {!Sync_prims.Backoff} exponential backoff
+    between attempts. Deterministic under {!Detrt} (the timeout becomes
+    a poll budget, see {!Deadline}, and every poll is a scheduling
+    point). *)
 
 val protect : t -> (unit -> 'a) -> 'a
 (** [protect m f] runs [f] with [m] held, releasing on any exit. *)
 
 (** {1 Hot-swappable sites (E27)}
 
-    A mutex created inside {!with_swappable} carries one extra
+    A mutex created inside an [`Adaptive] scope carries one extra
     indirection: an atomic pointer to the cell (sys / fast / queue
-    impl) it currently routes through. {!swap_to} retiers a live site
+    lock) it currently routes through. {!swap_to} retiers a live site
     with an epoch-quiesced protocol — the swapper locks the old cell,
     publishes the fresh one (new acquirers route there immediately),
     then releases; stragglers that locked the old cell re-check the
@@ -132,20 +107,17 @@ val tier_index : tier -> int
 val tier_of_index : int -> tier option
 
 val with_swappable : (unit -> 'a) -> 'a
-(** Run a thunk with swappable mutex creation selected (precedence Det
-    > Swap > Prim > Queue > Fast > Sys), restoring the previous
-    selection afterwards. Mutexes created inside the scope start on
-    [`Sys]. The site registry is cleared on entry and {e kept} on exit,
-    so a controller started after the build scope closes still
-    enumerates the run's sites via {!swap_sites}; the next scope clears
-    the slate. Concurrent scopes are not supported (same rule as
-    {!Fastpath}). *)
-
-val swappable_selected : unit -> bool
+(** [with_swappable f] clears the site registry, then runs
+    [Sync_prims.Tier.with_ `Adaptive f]. Mutexes created inside the
+    scope start on [`Sys]. The registry is {e kept} on exit, so a
+    controller started after the build scope closes still enumerates
+    the run's sites via {!swap_sites}; the next scope clears the slate.
+    Concurrent scopes are not supported. *)
 
 val swap_sites : unit -> t list
-(** Every swappable mutex created in the most recent scope, newest
-    first — the adaptive controller's enumeration point. *)
+(** Every swappable mutex created since the most recent
+    {!with_swappable} began, newest first — the adaptive controller's
+    enumeration point. *)
 
 val current_tier : t -> tier option
 (** The tier a swappable site currently routes to; [None] for

@@ -1,5 +1,7 @@
 module Probe = Sync_trace.Probe
 module Prims = Sync_prims.Prims
+module Tier = Sync_prims.Tier
+module Backoff = Sync_prims.Backoff
 
 type fairness = [ `Strong | `Weak ]
 
@@ -53,48 +55,33 @@ module Counting = struct
 
   let create ?(fairness = `Strong) n =
     if n < 0 then invalid_arg "Semaphore.Counting.create: negative value";
-    let cls =
-      if Detrt.active () then None
-      else
-        match Prims.selected () with
-        | Some _ as c -> c
-        | None -> (
-          (* Queue tier (E23): semaphores map onto the FAA-class
-             constructions — the FIFO ticket semaphore for [`Strong],
-             value-netting for [`Weak] — so the tier's ticket
-             discipline covers semaphores too, not just mutexes. *)
-          match Sync_prims.Queuelock.selected () with
-          | Some _ -> Some Prims.FAA
-          | None -> None)
+    let rid () =
+      if Deadlock.enabled () then Deadlock.register ~kind:"semaphore" ()
+      else -1
     in
-    match cls with
-    | Some c ->
-      Prim
-        { psem = Prims.make_sem c ~fairness n;
-          prid =
-            (if Deadlock.enabled () then
-               Deadlock.register ~kind:"semaphore" ()
-             else -1) }
-    | None ->
-      if fairness = `Weak && Fastpath.active () then
-        Fast
-          { fvalue = Atomic.make n;
-            fwaiters = Atomic.make 0;
-            flock = Stdlib.Mutex.create ();
-            fcond = Stdlib.Condition.create ();
-            frid =
-              (if Deadlock.enabled () then
-                 Deadlock.register ~kind:"semaphore" ()
-               else -1) }
-      else
-        Queued
-          { mutex = Mutex.create ~name:"sem.lock" (); fairness;
-            queue = Waitq.create ~name:"sem.q" ();
-            cond = Condition.create (); value = n; weak_waiters = 0;
-            srid =
-              (if Deadlock.enabled () then
-                 Deadlock.register ~kind:"semaphore" ()
-               else -1) }
+    let prim c = Prim { psem = Prims.make_sem c ~fairness n; prid = rid () } in
+    let tier = if Detrt.active () then `Default else Tier.current () in
+    match (tier, fairness) with
+    | `Prim ((Prims.RW | Prims.CAS | Prims.FAA | Prims.LLSC) as c), _ ->
+      prim c
+    (* Queue tier (E23): semaphores map onto the FAA-class constructions
+       — the FIFO ticket semaphore for [`Strong], value-netting for
+       [`Weak] — so the tier's ticket discipline covers semaphores too,
+       not just mutexes. *)
+    | `Queue _, _ -> prim Prims.FAA
+    | `Fast, `Weak ->
+      Fast
+        { fvalue = Atomic.make n;
+          fwaiters = Atomic.make 0;
+          flock = Stdlib.Mutex.create ();
+          fcond = Stdlib.Condition.create ();
+          frid = rid () }
+    | (`Default | `Fast | `Prim Prims.Native | `Adaptive), _ ->
+      Queued
+        { mutex = Mutex.create ~name:"sem.lock" (); fairness;
+          queue = Waitq.create ~name:"sem.q" ();
+          cond = Condition.create (); value = n; weak_waiters = 0;
+          srid = rid () }
 
   (* ---------------- queued (default) tier ---------------- *)
 

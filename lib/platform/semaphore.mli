@@ -16,14 +16,19 @@
     translation and for the baseline semaphore solutions of the six
     canonical problems.
 
-    When {!Fastpath} is active at creation time, a [`Weak] counting
-    semaphore uses the contention-adaptive tier (E22): the value lives
-    in a non-negative atomic, [P] consumes a unit by CAS when the value
-    is positive, [V] publishes with one fetch-and-add, and the internal
-    lock is touched only when the value exhausts and a waiter parks.
-    [`Strong] (FCFS) mode always keeps the queued slow path — a CAS
-    fast path is a barging path, and arrival-order grants must not
-    change — but still inherits the adaptive mutex for its lock. *)
+    Counting semaphores are built on the tier of the innermost open
+    {!Sync_prims.Tier} scope (a {!Detrt} run outranks every scope).
+    Under [`Fast] a [`Weak] counting semaphore uses the
+    contention-adaptive tier (E22): the value lives in a non-negative
+    atomic, [P] consumes a unit by CAS when the value is positive, [V]
+    publishes with one fetch-and-add, and the internal lock is touched
+    only when the value exhausts and a waiter parks. [`Strong] (FCFS)
+    mode always keeps the queued slow path — a CAS fast path is a
+    barging path, and arrival-order grants must not change — but still
+    inherits the adaptive mutex for its lock. Under [`Prim c] (c
+    restricted) the whole semaphore comes from
+    {!Sync_prims.Prims.make_sem}; under [`Queue _] from its FAA-class
+    constructions. *)
 
 type fairness = [ `Strong | `Weak ]
 

@@ -9,11 +9,12 @@
     Whether spinning can help at all is a property of the machine at the
     moment the contended loop starts: on a single core the peer cannot
     run while we spin, so {!once} goes straight to [Thread.yield]. That
-    decision is made per backoff at {!create} time (re-reading
-    [Domain.recommended_domain_count]), not once per process, so tests
-    that pin domains — and long-lived processes whose affinity changes —
-    get the right behaviour for each loop. [?multicore] overrides the
-    probe for tests. *)
+    decision is made per backoff at its first {!once} or {!multicore}
+    call (re-reading [Domain.recommended_domain_count]), not once per
+    process, so tests that pin domains — and long-lived processes whose
+    affinity changes — get the right behaviour for each loop, and a
+    backoff that never backs off never pays for the probe. [?multicore]
+    overrides the probe for tests. *)
 
 type t
 
@@ -22,15 +23,16 @@ val create : ?multicore:bool -> ?min_wait:int -> ?max_wait:int -> unit -> t
     [min_wait] and [max_wait] bound the spin count; both must be positive
     powers of two with [min_wait <= max_wait], and default to the
     process-wide {!limits}, read at this call. [multicore] defaults to
-    [Domain.recommended_domain_count () > 1], probed at this call.
+    [Domain.recommended_domain_count () > 1], probed at the first
+    {!once} or {!multicore} call.
     @raise Invalid_argument on invalid spin bounds. *)
 
 val set_limits : min_wait:int -> max_wait:int -> unit
 (** Retune the default spin bounds used by {!create} when none are
-    passed explicitly. Creation-scoped exactly like the multicore
-    probe: backoffs created after the call see the new bounds, ones
-    already spinning are unaffected — so the adaptive controller (and
-    tests) can tune spin-vs-park behaviour without a rebuild.
+    passed explicitly. Creation-scoped: backoffs created after the call
+    see the new bounds, ones already spinning are unaffected — so the
+    adaptive controller (and tests) can tune spin-vs-park behaviour
+    without a rebuild.
     @raise Invalid_argument on invalid spin bounds. *)
 
 val limits : unit -> int * int
@@ -41,7 +43,8 @@ val with_limits : min_wait:int -> max_wait:int -> (unit -> 'a) -> 'a
     defaults afterwards (even on exception). *)
 
 val multicore : t -> bool
-(** The spin-vs-yield decision this backoff was created with. *)
+(** The spin-vs-yield decision of this backoff: the [?multicore]
+    override, or the probe, made at the first call of this or {!once}. *)
 
 val once : t -> unit
 (** Spin (or yield, once saturated or single-core) and escalate. *)

@@ -1,10 +1,9 @@
 (* The E25 primitive-class abstraction: which atomic operations the
    synchronization substrate may use. Each restricted class has its own
    lock and counting-semaphore construction (functors over {!Regs}
-   signatures, instantiated here over {!Regs.Shared}); [with_class]
-   scopes class selection over primitive creation exactly like
-   {!Fastpath.with_enabled} scopes the E22 tier, and the platform's
-   [Mutex]/[Semaphore] facades consult {!selected} at creation time.
+   signatures, instantiated here over {!Regs.Shared}). A [`Prim c]
+   {!Tier} scope selects a class for primitive creation, and the
+   platform's [Mutex]/[Semaphore] facades build on it.
 
    What a class cannot express surfaces as the typed {!Unsupported}
    exception, never as a crash or a silent downgrade — the hierarchy
@@ -34,19 +33,6 @@ let restricted = [ RW; CAS; FAA; LLSC ]
 let all = restricted @ [ Native ]
 
 let unsupported cls feature reason = raise (Unsupported { cls; feature; reason })
-
-(* ------------------------------------------------------------------ *)
-(* Creation-scoped class selection. [Native] is the resting state: no
-   restriction, the platform picks its usual tier. *)
-
-let flag = Atomic.make Native
-
-let selected () = match Atomic.get flag with Native -> None | c -> Some c
-
-let with_class c f =
-  let prev = Atomic.get flag in
-  Atomic.set flag c;
-  Fun.protect ~finally:(fun () -> Atomic.set flag prev) f
 
 (* ------------------------------------------------------------------ *)
 (* Production instances: every class over the same SC-atomic registers,
@@ -109,6 +95,25 @@ type lock = {
   lk_unlock : unit -> unit;
 }
 
+module type LOCK = sig
+  type t
+
+  val create : unit -> t
+
+  val lock : t -> unit
+
+  val try_lock : t -> bool
+
+  val unlock : t -> unit
+end
+
+let lock_of (module L : LOCK) cls =
+  let l = L.create () in
+  { lk_cls = cls;
+    lk_lock = (fun () -> L.lock l);
+    lk_try = (fun () -> L.try_lock l);
+    lk_unlock = (fun () -> L.unlock l) }
+
 let make_lock = function
   | RW ->
     let b = B.create ~bound:4096 ~slots:bakery_slots () in
@@ -117,24 +122,9 @@ let make_lock = function
       lk_lock = (fun () -> B.lock b ~slot:(slot_of_self slots));
       lk_try = (fun () -> B.try_lock b ~slot:(slot_of_self slots));
       lk_unlock = (fun () -> B.unlock b ~slot:(slot_of_self slots)) }
-  | CAS ->
-    let l = C.Lock.create () in
-    { lk_cls = CAS;
-      lk_lock = (fun () -> C.Lock.lock l);
-      lk_try = (fun () -> C.Lock.try_lock l);
-      lk_unlock = (fun () -> C.Lock.unlock l) }
-  | FAA ->
-    let l = F.Lock.create () in
-    { lk_cls = FAA;
-      lk_lock = (fun () -> F.Lock.lock l);
-      lk_try = (fun () -> F.Lock.try_lock l);
-      lk_unlock = (fun () -> F.Lock.unlock l) }
-  | LLSC ->
-    let l = L.Lock.create () in
-    { lk_cls = LLSC;
-      lk_lock = (fun () -> L.Lock.lock l);
-      lk_try = (fun () -> L.Lock.try_lock l);
-      lk_unlock = (fun () -> L.Lock.unlock l) }
+  | CAS -> lock_of (module C.Lock) CAS
+  | FAA -> lock_of (module F.Lock) FAA
+  | LLSC -> lock_of (module L.Lock) LLSC
   | Native ->
     unsupported Native "lock"
       "the native class is the platform's own default/fast tier, not a \
@@ -218,6 +208,32 @@ let with_waiters (p, try_p, p_poll, v_n, value) cls =
     sm_value = value;
     sm_waiters = (fun () -> Atomic.get w) }
 
+module type SEM = sig
+  type t
+
+  val create : int -> t
+
+  val p : t -> unit
+
+  val try_p : t -> bool
+
+  val p_poll : t -> (unit -> bool) -> bool
+
+  val v_n : t -> int -> unit
+
+  val value : t -> int
+end
+
+let sem_of (module S : SEM) cls n =
+  let s = S.create n in
+  with_waiters
+    ( (fun () -> S.p s),
+      (fun () -> S.try_p s),
+      (fun e -> S.p_poll s e),
+      (fun k -> S.v_n s k),
+      fun () -> S.value s )
+    cls
+
 let strong_reason =
   "FCFS grants need an arrival-order-assigning read-modify-write (ticket \
    fetch-and-add); atomic read/write registers only admit barging waits"
@@ -227,60 +243,12 @@ let make_sem cls ~fairness n =
   match (cls, fairness) with
   | RW, `Strong -> unsupported RW "semaphore.strong" strong_reason
   | RW, `Weak -> with_waiters (rw_sem n) RW
-  | CAS, `Weak ->
-    let s = C.Sem.create n in
-    with_waiters
-      ( (fun () -> C.Sem.p s),
-        (fun () -> C.Sem.try_p s),
-        (fun e -> C.Sem.p_poll s e),
-        (fun k -> C.Sem.v_n s k),
-        fun () -> C.Sem.value s )
-      CAS
-  | CAS, `Strong ->
-    let s = T_cas.create n in
-    with_waiters
-      ( (fun () -> T_cas.p s),
-        (fun () -> T_cas.try_p s),
-        (fun e -> T_cas.p_poll s e),
-        (fun k -> T_cas.v_n s k),
-        fun () -> T_cas.value s )
-      CAS
-  | FAA, `Weak ->
-    let s = F.Sem.create n in
-    with_waiters
-      ( (fun () -> F.Sem.p s),
-        (fun () -> F.Sem.try_p s),
-        (fun e -> F.Sem.p_poll s e),
-        (fun k -> F.Sem.v_n s k),
-        fun () -> F.Sem.value s )
-      FAA
-  | FAA, `Strong ->
-    let s = T_faa.create n in
-    with_waiters
-      ( (fun () -> T_faa.p s),
-        (fun () -> T_faa.try_p s),
-        (fun e -> T_faa.p_poll s e),
-        (fun k -> T_faa.v_n s k),
-        fun () -> T_faa.value s )
-      FAA
-  | LLSC, `Weak ->
-    let s = L.Sem.create n in
-    with_waiters
-      ( (fun () -> L.Sem.p s),
-        (fun () -> L.Sem.try_p s),
-        (fun e -> L.Sem.p_poll s e),
-        (fun k -> L.Sem.v_n s k),
-        fun () -> L.Sem.value s )
-      LLSC
-  | LLSC, `Strong ->
-    let s = T_llsc.create n in
-    with_waiters
-      ( (fun () -> T_llsc.p s),
-        (fun () -> T_llsc.try_p s),
-        (fun e -> T_llsc.p_poll s e),
-        (fun k -> T_llsc.v_n s k),
-        fun () -> T_llsc.value s )
-      LLSC
+  | CAS, `Weak -> sem_of (module C.Sem) CAS n
+  | CAS, `Strong -> sem_of (module T_cas) CAS n
+  | FAA, `Weak -> sem_of (module F.Sem) FAA n
+  | FAA, `Strong -> sem_of (module T_faa) FAA n
+  | LLSC, `Weak -> sem_of (module L.Sem) LLSC n
+  | LLSC, `Strong -> sem_of (module T_llsc) LLSC n
   | Native, _ ->
     unsupported Native "semaphore"
       "the native class is the platform's own default/fast tier, not a \

@@ -1,10 +1,9 @@
 (** Primitive classes: which atomic operations the synchronization
     substrate may use (E25).
 
-    The platform's [Mutex]/[Semaphore] facades consult {!selected} at
-    creation time (the same creation-scoped plumbing as the E22
-    [Fastpath] tier) and, when a restricted class is selected, build on
-    this module's per-class constructions:
+    Inside a [`Prim c] {!Tier} scope the platform's
+    [Mutex]/[Semaphore] facades build on this module's per-class
+    constructions:
 
     - {b RW} — atomic read/write registers only: Lamport's bakery lock
       with the bounded-timestamp fix; a bakery-guarded weak counting
@@ -16,8 +15,8 @@
     - {b LLSC} — load-linked/store-conditional, emulated from CAS with
       ABA tagging ({!Llsc}); locks and semaphores built only from the
       emulation.
-    - {b Native} — no restriction: the platform's own default/fast
-      tiers. {!selected} reports [None]; the factories reject it.
+    - {b Native} — no restriction: the platform's own default tier.
+      The factories reject it.
 
     Classes that cannot express a primitive raise {!Unsupported} with a
     typed reason — the hierarchy scorecard records these as results,
@@ -40,16 +39,6 @@ val restricted : cls list
 
 val all : cls list
 (** {!restricted} plus [Native]. *)
-
-val selected : unit -> cls option
-(** The restricted class a primitive created right now should build on;
-    [None] when unrestricted ([Native]). The platform checks its
-    deterministic runtime first, so [Detrt] always outranks this. *)
-
-val with_class : cls -> (unit -> 'a) -> 'a
-(** [with_class c f] runs [f] with class [c] selected, restoring the
-    previous selection on any exit. [with_class Native] is an explicit
-    "no restriction" scope. *)
 
 (** A class-restricted mutual-exclusion lock, as closures so the
     platform mutex carries one representation for every class. *)

@@ -197,12 +197,9 @@ module Make (R : Regs.FULL) = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Kind selection, scoped over primitive creation exactly like
-   {!Prims.with_class} / [Fastpath.with_enabled]. Precedence against
-   the other tiers is decided in the platform mutex (Det > Prim >
-   Queue > Fast > Sys). *)
+(* Kind selection: a [`Queue k] {!Tier} scope over primitive creation. *)
 
-type kind = MCS | CLH | Ticket
+type kind = Tier.queue_kind = MCS | CLH | Ticket
 
 let kind_name = function MCS -> "mcs" | CLH -> "clh" | Ticket -> "ticket"
 
@@ -214,14 +211,7 @@ let kind_of_string = function
 
 let all = [ MCS; CLH; Ticket ]
 
-let flag : kind option Atomic.t = Atomic.make None
-
-let selected () = Atomic.get flag
-
-let with_kind k f =
-  let prev = Atomic.get flag in
-  Atomic.set flag (Some k);
-  Fun.protect ~finally:(fun () -> Atomic.set flag prev) f
+let with_kind k f = Tier.with_ (`Queue k) f
 
 (* ------------------------------------------------------------------ *)
 (* Production instances over SC atomics, behind one closure record so

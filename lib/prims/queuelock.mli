@@ -8,11 +8,11 @@
     protocol code runs on SC atomics in production and on {!Detrt}
     recorded registers under DPOR (the E25 certification idiom).
 
-    Kind selection is a creation-scope property ({!with_kind}), and the
-    platform mutex consults {!selected} at creation time with precedence
-    Det > Prim > Queue > Fast > Sys. MCS/CLH assign each thread a
-    per-lock slot (at most 64 distinct threads per lock); none of the
-    locks are reentrant. *)
+    Kind selection is a creation-scope property ({!with_kind}, a
+    {!Tier} scope): the innermost scope wins, and a deterministic run
+    outranks every scope. MCS/CLH assign each thread a per-lock slot (at
+    most 64 distinct threads per lock); none of the locks are
+    reentrant. *)
 
 val pad_words : int
 (** Spacer words allocated after each protocol register (the Fastring
@@ -72,7 +72,7 @@ end
 
 (** {1 Kind selection and production instances} *)
 
-type kind = MCS | CLH | Ticket
+type kind = Tier.queue_kind = MCS | CLH | Ticket
 
 val kind_name : kind -> string
 (** ["mcs"] / ["clh"] / ["ticket"] — also the tier labels in reports. *)
@@ -81,13 +81,9 @@ val kind_of_string : string -> kind option
 
 val all : kind list
 
-val selected : unit -> kind option
-(** The kind selected for the current creation scope, if any. *)
-
 val with_kind : kind -> (unit -> 'a) -> 'a
-(** [with_kind k f] runs [f] with queue-lock kind [k] selected, saving
-    and restoring the previous selection (exactly like
-    {!Prims.with_class}). Affects primitives {e created} inside [f]. *)
+(** [with_kind k f] is [Tier.with_ (`Queue k) f]: primitives {e created}
+    inside [f] use queue-lock kind [k]. *)
 
 type lock = {
   qk_kind : kind;

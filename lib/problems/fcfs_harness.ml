@@ -17,6 +17,21 @@ type report = { trace : Trace.event list }
 
 let holder_pid = 999
 
+(* Spawn a staged thread and return once it is running. The settle delay
+   that follows only has to cover the walk from there into the
+   mechanism's queue; on a loaded machine a fresh thread can wait longer
+   than the whole delay for its first time slice, and then a later
+   contender overtakes it before either has made its request. *)
+let spawn_started f =
+  let started = Atomic.make false in
+  let p =
+    Process.spawn ~backend:`Thread (fun () ->
+        Atomic.set started true;
+        f ())
+  in
+  Testwait.until "staged thread started" (fun () -> Atomic.get started);
+  p
+
 let run (module S : Fcfs_intf.S) ?(users = 5) ?(rounds = 3) ?(work = 100)
     ?settle () =
   let settle =
@@ -42,16 +57,12 @@ let run (module S : Fcfs_intf.S) ?(users = 5) ?(rounds = 3) ?(work = 100)
     (fun () ->
       for _ = 1 to rounds do
         gate := Latch.create 1;
-        let holder = Process.spawn ~backend:`Thread (fun () ->
-            S.use t ~pid:holder_pid)
-        in
+        let holder = spawn_started (fun () -> S.use t ~pid:holder_pid) in
         Thread.delay settle;
         let contenders =
           List.init users (fun pid ->
               Trace.record trace ~pid ~op:"use" ~phase:Trace.Request ();
-              let c = Process.spawn ~backend:`Thread (fun () ->
-                  S.use t ~pid)
-              in
+              let c = spawn_started (fun () -> S.use t ~pid) in
               Thread.delay settle;
               c)
         in
@@ -132,7 +143,7 @@ let run_abort (module S : Fcfs_intf.S) ?(users = 5) ?settle () =
     ~finally:(fun () -> try S.stop t with _ -> ())
     (fun () ->
       let holder =
-        Process.spawn ~backend:`Thread (fun () ->
+        spawn_started (fun () ->
             try S.use t ~pid:holder_pid
             with Sync_csp.Csp.Poisoned _ -> Atomic.set poisoned true)
       in
@@ -141,7 +152,7 @@ let run_abort (module S : Fcfs_intf.S) ?(users = 5) ?settle () =
         List.init users (fun pid ->
             Trace.record trace ~pid ~op:"use" ~phase:Trace.Request ();
             let c =
-              Process.spawn ~backend:`Thread (fun () ->
+              spawn_started (fun () ->
                   match S.use t ~pid with
                   | () -> ()
                   | exception Fault.Injected _ -> Atomic.incr aborted

@@ -1,4 +1,4 @@
-open Sync_platform
+module Backoff = Sync_prims.Backoff
 
 (* Vyukov-style bounded MPMC ring: every slot carries its own sequence
    number. For slot [i] (0-based position [pos], [i = pos mod cap]):

@@ -5,12 +5,7 @@ type op = { name : string; run : rng:Prng.t -> pid:int -> unit }
 
 type selection = Cycle | Weighted of int array
 
-type tier =
-  [ `Default
-  | `Fast
-  | `Prim of Sync_prims.Prims.cls
-  | `Queue of Sync_prims.Queuelock.kind
-  | `Adaptive ]
+type tier = Sync_prims.Tier.t
 
 let tier_name = function
   | `Default -> "default"
@@ -245,33 +240,19 @@ let create ?(params = default_params) ?(tier = `Default) ~problem ~mechanism
           (Printf.sprintf "no %S target for %S (try: %s)" mechanism problem
              (String.concat ", " (List.map fst ms)))
       | Some build -> (
-        (* The fast tier is a creation-time property of the platform
+        (* The tier is a creation-time property of the platform
            primitives: build the whole solution (including any CSP
-           server processes it spawns) with the flag on, then restore.
-           Workers created later by the load generator see whatever
-           tier the instance was built with. *)
-        match tier with
-        | `Default -> Ok (build tier params)
-        | `Fast -> Ok (Fastpath.with_enabled (fun () -> build tier params))
-        | `Prim c ->
-          (* E25: every primitive the solution creates — including any
-             created by CSP server processes it spawns here — builds on
-             the restricted atomic class. [`Prim Native] is the explicit
-             no-restriction scope (same substrate as [`Default], labeled
-             "native" in reports). The construction itself can raise
-             {!Sync_prims.Prims.Unsupported} (e.g. RW x FCFS semaphore);
-             callers that grid over classes catch it as a typed result. *)
-          Ok (Sync_prims.Prims.with_class c (fun () -> build tier params))
-        | `Queue k ->
-          (* E23: every platform mutex the solution creates is a queue
-             lock of kind [k] (MCS, CLH, or proportional-backoff
-             ticket); counting semaphores fall back to the FAA prim
-             constructions, which share the FIFO spirit. *)
-          Ok (Sync_prims.Queuelock.with_kind k (fun () -> build tier params))
-        | `Adaptive ->
-          (* E27: every platform mutex the solution creates carries the
-             hot-swap indirection and is registered as a retierable
-             site. The caller (adaptive axis, bench grid) starts a
-             controller over [Mutex.swap_sites ()] after this returns —
-             the scope keeps its registry on exit for exactly that. *)
-          Ok (Mutex.with_swappable (fun () -> build tier params))))
+           server processes it spawns) inside the tier's scope. Workers
+           created later by the load generator see whatever tier the
+           instance was built with. [`Prim c] builds can raise
+           {!Sync_prims.Prims.Unsupported} (e.g. RW x FCFS semaphore);
+           callers that grid over classes catch it as a typed result.
+           [`Adaptive] also starts a fresh site registry, which outlives
+           the scope so a controller started afterwards can enumerate
+           the instance's sites via [Mutex.swap_sites]. *)
+        let scope =
+          match tier with
+          | `Adaptive -> Mutex.with_swappable
+          | t -> Sync_prims.Tier.with_ t
+        in
+        Ok (scope (fun () -> build tier params))))

@@ -34,27 +34,20 @@ type selection =
   | Weighted of int array
       (** pick one op per iteration with these relative weights *)
 
-type tier =
-  [ `Default
-  | `Fast
-  | `Prim of Sync_prims.Prims.cls
-  | `Queue of Sync_prims.Queuelock.kind
-  | `Adaptive ]
-(** Which platform substrate the instance is built on. [`Default] is
-    the stdlib-backed tier; [`Fast] builds the solution with
-    {!Sync_platform.Fastpath} enabled — adaptive mutexes, fetch-and-add
-    weak semaphores — and gives the bounded buffer the Vyukov
-    {!Sync_resources.Fastring} resource. Mechanism code and semantics
-    are identical; only the substrate's cost profile changes (E22).
-    [`Prim c] builds the solution under
-    {!Sync_prims.Prims.with_class}[ c] — every platform mutex and
-    counting semaphore it creates is constructed from atomic class [c]
-    alone (E25 hierarchy runs); [`Prim Native] is the explicit
-    no-restriction scope, labeled ["native"]. [`Queue k] builds it
-    under {!Sync_prims.Queuelock.with_kind}[ k] — every platform mutex
-    is a local-spin queue lock of kind [k] (MCS / CLH / proportional
-    ticket) and counting semaphores use the FAA prim constructions
-    (E23 scalable-lock runs). [`Adaptive] builds it under
+type tier = Sync_prims.Tier.t
+(** Which platform substrate the instance is built on: the solution is
+    built inside a {!Sync_prims.Tier.with_} scope of this tier.
+    [`Default] is the stdlib-backed tier; [`Fast] gives adaptive
+    mutexes and fetch-and-add weak semaphores, and gives the bounded
+    buffer the Vyukov {!Sync_resources.Fastring} resource. Mechanism
+    code and semantics are identical; only the substrate's cost profile
+    changes (E22). Under [`Prim c] every platform mutex and counting
+    semaphore is constructed from atomic class [c] alone (E25 hierarchy
+    runs); [`Prim Native] is the explicit no-restriction scope, labeled
+    ["native"]. Under [`Queue k] every platform mutex is a local-spin
+    queue lock of kind [k] (MCS / CLH / proportional ticket) and
+    counting semaphores use the FAA prim constructions (E23
+    scalable-lock runs). [`Adaptive] builds it under
     {!Sync_platform.Mutex.with_swappable} — every platform mutex is a
     hot-swappable site the E27 controller can retier live; the scope's
     site registry survives the build so the controller can enumerate
@@ -93,10 +86,9 @@ val create :
   ?params:params -> ?tier:tier -> problem:string -> mechanism:string ->
   unit -> (instance, string) result
 (** Build a fresh instance (fresh resource, fresh synchronizer). With
-    [~tier:`Fast] the whole solution is built under
-    {!Sync_platform.Fastpath.with_enabled} (no effect inside a {!Detrt}
-    run, where the deterministic substrate always wins). The error
-    names the valid choices.
+    [~tier:`Fast] the whole solution is built on the fast tier (no
+    effect inside a {!Detrt} run, where the deterministic substrate
+    always wins). The error names the valid choices.
 
     With [~tier:(`Prim c)] the build runs under the class restriction
     and may raise {!Sync_prims.Prims.Unsupported} when the mechanism

@@ -48,7 +48,7 @@ let test_runtime_deterministic () =
 
 (* The E22 fast paths must never engage inside a deterministic run:
    adaptive primitives resolve races with real atomics, outside the
-   recorded scheduler's control. Even with the Fastpath flag forced on,
+   recorded scheduler's control. Even inside a fast-tier scope,
    primitives created under Detrt must come out deterministic, and the
    journal must replay exactly. *)
 let test_fastpath_inert_under_detrt () =
@@ -58,13 +58,10 @@ let test_fastpath_inert_under_detrt () =
     ignore
       (Detrt.run ~choose:(fun _ -> 0) (fun () ->
            Fastpath.with_enabled (fun () ->
-               Alcotest.(check bool) "fastpath inactive under Detrt" false
-                 (Fastpath.active ());
                let m = Mutex.create () in
                (match m.Mutex.impl with
                | Mutex.Det _ -> ()
-               | Mutex.Sys _ | Mutex.Fast _ | Mutex.Prim _ | Mutex.Queue _
-               | Mutex.Swap _ ->
+               | Mutex.Lock _ ->
                  Alcotest.fail "mutex ignored the Detrt runtime");
                let s = Semaphore.Counting.create ~fairness:`Weak 1 in
                let ps =

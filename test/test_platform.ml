@@ -1,4 +1,5 @@
 open Sync_platform
+module Backoff = Sync_prims.Backoff
 
 let check_int = Alcotest.(check int)
 
@@ -571,29 +572,42 @@ let test_deadlock_find_cycle () =
 (* ------------------------------------------------------------------ *)
 (* Fast-path tier (E22)                                               *)
 
+module Prims = Sync_prims.Prims
+module Queuelock = Sync_prims.Queuelock
+module Tier = Sync_prims.Tier
+
 let test_fastpath_flag () =
-  check_bool "off by default" false (Fastpath.enabled ());
+  check_bool "default outside any scope" true (Tier.current () = `Default);
   let r =
     Fastpath.with_enabled (fun () ->
-        check_bool "on inside" true (Fastpath.enabled ());
-        check_bool "active outside Detrt" true (Fastpath.active ());
+        check_bool "fast inside" true (Tier.current () = `Fast);
         17)
   in
   check_int "with_enabled returns f's value" 17 r;
-  check_bool "restored" false (Fastpath.enabled ());
+  check_bool "restored" true (Tier.current () = `Default);
   (match Fastpath.with_enabled (fun () -> raise Exit) with
   | exception Exit -> ()
   | _ -> Alcotest.fail "expected Exit");
-  check_bool "restored after raise" false (Fastpath.enabled ())
+  check_bool "restored after raise" true (Tier.current () = `Default)
 
-let is_fast_mutex (m : Mutex.t) =
-  match m.Mutex.impl with Mutex.Fast _ -> true | _ -> false
+(* The tier a mutex was built on, from its lock record. *)
+let tier_label (m : Mutex.t) =
+  match m.Mutex.impl with
+  | Mutex.Det _ -> "det"
+  | Mutex.Lock o -> (
+    match o.Mutex.tier with
+    | `Default -> "default"
+    | `Fast -> "fast"
+    | `Prim c -> "prim:" ^ Prims.cls_name c
+    | `Queue k -> "queue:" ^ Queuelock.kind_name k
+    | `Adaptive -> "adaptive")
 
 let test_fast_mutex_tier_selection () =
-  check_bool "default tier without the flag" false
-    (is_fast_mutex (Mutex.create ()));
+  Alcotest.(check string)
+    "default tier without a scope" "default"
+    (tier_label (Mutex.create ()));
   let m = Fastpath.with_enabled (fun () -> Mutex.create ()) in
-  check_bool "fast tier under the flag" true (is_fast_mutex m);
+  Alcotest.(check string) "fast tier inside the scope" "fast" (tier_label m);
   let sem_tier fairness =
     Fastpath.with_enabled (fun () ->
         Semaphore.Counting.create ~fairness 1)
@@ -609,47 +623,211 @@ let test_fast_mutex_tier_selection () =
   Semaphore.Counting.v w;
   check_int "weak fast semaphore v restores" 1 (Semaphore.Counting.value w)
 
-(* Queue tier (E23): creation-scope selection and precedence between
-   the substrate tiers — Det > Prim > Queue > Fast > Sys, decided once
-   at [Mutex.create]. *)
-module Prims = Sync_prims.Prims
-module Queuelock = Sync_prims.Queuelock
-
-let impl_label (m : Mutex.t) =
-  match m.Mutex.impl with
-  | Mutex.Det _ -> "det"
-  | Mutex.Prim _ -> "prim"
-  | Mutex.Queue q -> "queue:" ^ Queuelock.kind_name q.Queuelock.qk_kind
-  | Mutex.Fast _ -> "fast"
-  | Mutex.Sys _ -> "sys"
-  | Mutex.Swap _ -> "swap"
-
+(* One tier scope: the innermost scope wins, whatever the tiers, and a
+   deterministic run outranks every scope. *)
 let test_queue_tier_precedence () =
-  let check_label msg want m = Alcotest.(check string) msg want (impl_label m) in
-  check_label "no flag: system tier" "sys" (Mutex.create ());
+  let check_label msg want m = Alcotest.(check string) msg want (tier_label m) in
+  check_label "no scope: default tier" "default" (Mutex.create ());
   Queuelock.with_kind Queuelock.MCS (fun () ->
-      check_label "queue flag alone" "queue:mcs" (Mutex.create ());
+      check_label "queue scope alone" "queue:mcs" (Mutex.create ());
       Fastpath.with_enabled (fun () ->
-          check_label "queue beats fast" "queue:mcs" (Mutex.create ()));
-      Prims.with_class Prims.CAS (fun () ->
-          check_label "prim class beats queue" "prim" (Mutex.create ()));
-      Queuelock.with_kind Queuelock.Ticket (fun () ->
-          check_label "inner kind wins" "queue:ticket" (Mutex.create ()));
-      check_label "outer kind restored" "queue:mcs" (Mutex.create ()));
-  check_label "selection is creation-scoped" "sys" (Mutex.create ());
-  Fastpath.with_enabled (fun () ->
-      check_label "fast without a queue kind" "fast" (Mutex.create ()));
-  (* Each kind maps onto its own protocol. *)
+          check_label "inner fast beats outer queue" "fast" (Mutex.create ()));
+      Tier.with_ (`Prim Prims.CAS) (fun () ->
+          check_label "inner prim beats outer queue" "prim:cas"
+            (Mutex.create ());
+          Queuelock.with_kind Queuelock.Ticket (fun () ->
+              check_label "inner queue beats outer prim" "queue:ticket"
+                (Mutex.create ())));
+      Tier.with_ `Default (fun () ->
+          check_label "inner default beats outer queue" "default"
+            (Mutex.create ()));
+      check_label "outer scope restored" "queue:mcs" (Mutex.create ()));
+  check_label "selection is creation-scoped" "default" (Mutex.create ());
   List.iter
-    (fun k ->
-      let m = Queuelock.with_kind k (fun () -> Mutex.create ()) in
-      check_label (Queuelock.kind_name k) ("queue:" ^ Queuelock.kind_name k) m;
+    (fun tier ->
+      ignore
+        (Detrt.run ~choose:(fun _ -> 0) (fun () ->
+             Tier.with_ tier (fun () ->
+                 check_label "Det outranks the scope" "det" (Mutex.create ());
+                 (* Even a strong semaphore, which RW cannot express. *)
+                 ignore (Semaphore.Counting.create 1)))))
+    [ `Fast; `Prim Prims.RW; `Queue Queuelock.CLH; `Adaptive ]
+
+(* ------------------------------------------------------------------ *)
+(* Every real-thread tier against one contract                       *)
+
+let tier_table : (string * Tier.t) list =
+  [ ("sys", `Default); ("fast", `Fast) ]
+  @ List.map (fun c -> ("prim-" ^ Prims.cls_name c, `Prim c)) Prims.restricted
+  @ List.map
+      (fun k -> ("queue-" ^ Queuelock.kind_name k, `Queue k))
+      Queuelock.all
+  @ [ ("adaptive", `Adaptive) ]
+
+(* [try_lock] from another thread, releasing on success: slot-indexed
+   tiers must not see the holder's own slot re-enter. *)
+let try_lock_elsewhere m =
+  let got = ref false in
+  Process.join
+    (Testutil.spawn (fun () ->
+         got := Mutex.try_lock m;
+         if !got then Mutex.unlock m));
+  !got
+
+let tier_lock_contract m =
+  check_bool "free lock takes try_lock" true (try_lock_elsewhere m);
+  Mutex.lock m;
+  check_bool "held lock declines try_lock" false (try_lock_elsewhere m);
+  Mutex.unlock m;
+  let g = Testutil.Gauge.create () in
+  let count = ref 0 in
+  let iters = 300 in
+  let worker () =
+    for _ = 1 to iters do
       Mutex.lock m;
-      check_bool "held lock declines try_lock" false (Mutex.try_lock m);
+      Testutil.Gauge.enter g;
+      incr count;
+      Testutil.Gauge.leave g;
+      Mutex.unlock m
+    done
+  in
+  Process.run_all ~backend:`Thread [ worker; worker; worker ];
+  check_int "never two holders" 1 (Testutil.Gauge.max g);
+  check_int "no lost increments" (3 * iters) !count
+
+(* Timed lock: the backoff poll loop must both expire under contention
+   and succeed on a free lock. *)
+let tier_try_lock_for_contract m =
+  let release = Atomic.make false in
+  let held = Atomic.make false in
+  let holder =
+    Testutil.spawn (fun () ->
+        Mutex.lock m;
+        Atomic.set held true;
+        while not (Atomic.get release) do
+          Thread.yield ()
+        done;
+        Mutex.unlock m)
+  in
+  Testutil.eventually "holder has it" (fun () -> Atomic.get held);
+  check_bool "contended lock times out" false
+    (Mutex.try_lock_for m ~timeout_ns:2_000_000L);
+  Atomic.set release true;
+  Process.join holder;
+  check_bool "free lock succeeds" true
+    (Mutex.try_lock_for m ~timeout_ns:1_000_000L);
+  Mutex.unlock m
+
+(* The park/seq protocol must not lose wakeups (Mesa contract:
+   spurious allowed, lost not). *)
+let tier_condition_contract m =
+  let c = Condition.create () in
+  let ready = ref 0 in
+  let woke = Atomic.make 0 in
+  let n = 3 in
+  let waiters =
+    List.init n (fun _ ->
+        Testutil.spawn (fun () ->
+            Mutex.lock m;
+            incr ready;
+            while !ready <= n do
+              Condition.wait c m
+            done;
+            Atomic.incr woke;
+            Mutex.unlock m))
+  in
+  Testutil.eventually "all parked" (fun () ->
+      Mutex.lock m;
+      let all = !ready = n in
       Mutex.unlock m;
-      check_bool "free lock takes try_lock" true (Mutex.try_lock m);
-      Mutex.unlock m)
-    Queuelock.all
+      all);
+  Mutex.lock m;
+  ready := n + 1;
+  Condition.broadcast c;
+  Mutex.unlock m;
+  List.iter Process.join waiters;
+  check_int "broadcast woke everyone" n (Atomic.get woke);
+  (* signal wakes at least one parked waiter. *)
+  let parked = Atomic.make false and released = Atomic.make false in
+  let w =
+    Testutil.spawn (fun () ->
+        Mutex.lock m;
+        Atomic.set parked true;
+        while not (Atomic.get released) do
+          Condition.wait c m
+        done;
+        Mutex.unlock m)
+  in
+  Testutil.eventually "waiter parked" (fun () -> Atomic.get parked);
+  Mutex.lock m;
+  Atomic.set released true;
+  Condition.signal c;
+  Mutex.unlock m;
+  Process.join w
+
+(* The watchdog sees the tier's holder and waiter edges: thread
+   "tier-a" holds A and blocks on B through the tier; the main thread,
+   "tier-b", holds B through the tier and declares a wait on A (a real
+   wait would deadlock the test), closing an AB/BA cycle. *)
+let tier_watchdog_contract create =
+  Deadlock.enable ();
+  Fun.protect ~finally:Deadlock.disable (fun () ->
+      let a = create () and b = create () in
+      Mutex.lock b;
+      Deadlock.name_self "tier-b";
+      let a_held = Atomic.make false in
+      let t =
+        Testutil.spawn (fun () ->
+            Deadlock.name_self "tier-a";
+            Mutex.lock a;
+            Atomic.set a_held true;
+            Mutex.lock b;
+            Mutex.unlock b;
+            Mutex.unlock a)
+      in
+      Testutil.eventually "tier-a holds A" (fun () -> Atomic.get a_held);
+      Deadlock.blocked a.Mutex.rid;
+      Testutil.eventually "cycle detected" (fun () ->
+          Deadlock.find_cycle () <> None);
+      (match Deadlock.find_cycle () with
+      | None -> Alcotest.fail "cycle vanished"
+      | Some cy ->
+        let s = Deadlock.cycle_to_string cy in
+        List.iter
+          (fun affix ->
+            check_bool ("names " ^ affix) true
+              (Astring.String.is_infix ~affix s))
+          [ "tier-a";
+            "tier-b";
+            Printf.sprintf "mutex#%d" a.Mutex.rid;
+            Printf.sprintf "mutex#%d" b.Mutex.rid ]);
+      Deadlock.unblocked ();
+      Mutex.unlock b;
+      Process.join t;
+      check_bool "released edges clear the cycle" true
+        (Deadlock.find_cycle () = None))
+
+(* The fast tier's timed lock and conditions, on their own. *)
+let test_fast_mutex_try_lock_for () =
+  let m = Fastpath.with_enabled (fun () -> Mutex.create ()) in
+  tier_try_lock_for_contract m;
+  Mutex.lock m;
+  check_bool "try_lock while held fails" false (try_lock_elsewhere m);
+  Mutex.unlock m
+
+let test_fast_mutex_condition () =
+  tier_condition_contract (Fastpath.with_enabled (fun () -> Mutex.create ()))
+
+let test_tier_contract tier () =
+  let create () = Tier.with_ tier (fun () -> Mutex.create ()) in
+  (match (create ()).Mutex.impl with
+  | Mutex.Lock o ->
+    check_bool "built on the scope's tier" true (o.Mutex.tier = tier)
+  | Mutex.Det _ -> Alcotest.fail "deterministic mutex outside Detrt");
+  tier_lock_contract (create ());
+  tier_try_lock_for_contract (create ());
+  tier_condition_contract (create ());
+  tier_watchdog_contract create
 
 (* Mutual exclusion of the adaptive mutex under a parked-waiter storm:
    enough threads that the CAS, spin, and park paths all engage. *)
@@ -708,80 +886,6 @@ let test_fast_sem_try_p_and_timeout () =
   check_bool "acquire_for succeeds when a unit exists" true
     (Semaphore.Counting.acquire_for s ~timeout_ns:2_000_000L);
   Semaphore.Counting.v s
-
-(* Timed lock on the fast mutex: the backoff poll loop must both expire
-   under contention and succeed on a free lock (satellite of E22). *)
-let test_fast_mutex_try_lock_for () =
-  let m = Fastpath.with_enabled (fun () -> Mutex.create ()) in
-  let release = Atomic.make false in
-  let held = Atomic.make false in
-  let holder =
-    Testutil.spawn (fun () ->
-        Mutex.lock m;
-        Atomic.set held true;
-        while not (Atomic.get release) do
-          Thread.yield ()
-        done;
-        Mutex.unlock m)
-  in
-  Testutil.eventually "holder has it" (fun () -> Atomic.get held);
-  check_bool "contended fast lock times out" false
-    (Mutex.try_lock_for m ~timeout_ns:2_000_000L);
-  Atomic.set release true;
-  Process.join holder;
-  check_bool "free fast lock succeeds" true
-    (Mutex.try_lock_for m ~timeout_ns:1_000_000L);
-  check_bool "try_lock while held fails" false (Mutex.try_lock m);
-  Mutex.unlock m
-
-(* Conditions paired with a fast mutex: the park/seq protocol must not
-   lose wakeups (Mesa contract: spurious allowed, lost not). *)
-let test_fast_mutex_condition () =
-  Fastpath.with_enabled (fun () ->
-      let m = Mutex.create () in
-      let c = Condition.create () in
-      let ready = ref 0 in
-      let woke = Atomic.make 0 in
-      let n = 3 in
-      let waiters =
-        List.init n (fun _ ->
-            Testutil.spawn (fun () ->
-                Mutex.lock m;
-                incr ready;
-                while !ready <= n do
-                  Condition.wait c m
-                done;
-                Atomic.incr woke;
-                Mutex.unlock m))
-      in
-      Testutil.eventually "all parked" (fun () ->
-          Mutex.lock m;
-          let all = !ready = n in
-          Mutex.unlock m;
-          all);
-      Mutex.lock m;
-      ready := n + 1;
-      Condition.broadcast c;
-      Mutex.unlock m;
-      List.iter Process.join waiters;
-      check_int "broadcast woke everyone" n (Atomic.get woke);
-      (* signal wakes at least one parked waiter. *)
-      let parked = Atomic.make false and released = Atomic.make false in
-      let w =
-        Testutil.spawn (fun () ->
-            Mutex.lock m;
-            Atomic.set parked true;
-            while not (Atomic.get released) do
-              Condition.wait c m
-            done;
-            Mutex.unlock m)
-      in
-      Testutil.eventually "waiter parked" (fun () -> Atomic.get parked);
-      Mutex.lock m;
-      Atomic.set released true;
-      Condition.signal c;
-      Mutex.unlock m;
-      Process.join w)
 
 let test_waitq_wake_n () =
   let q = Waitq.create () in
@@ -1100,6 +1204,11 @@ let () =
       ( "queue-tier",
         [ Alcotest.test_case "tier precedence" `Quick
             test_queue_tier_precedence ] );
+      ( "tier-table",
+        List.map
+          (fun (name, tier) ->
+            Alcotest.test_case name `Quick (test_tier_contract tier))
+          tier_table );
       ( "timed-edges",
         [ Alcotest.test_case "deadline expiry edges" `Quick
             test_deadline_expired_edges;

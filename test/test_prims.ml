@@ -246,14 +246,15 @@ let test_rw_strong_rejected () =
      default Counting semaphore is FCFS, so creating one in an RW scope
      is a typed error, never a crash or a silent downgrade. *)
   (match
-     Prims.with_class Prims.RW (fun () -> Platform.Semaphore.Counting.create 1)
+     Tier.with_ (`Prim Prims.RW) (fun () ->
+         Platform.Semaphore.Counting.create 1)
    with
   | _ -> Alcotest.fail "platform strong semaphore was not rejected on RW"
   | exception Prims.Unsupported { feature; _ } ->
       Alcotest.(check string) "platform feature" "semaphore.strong" feature);
   (* A weak one is expressible and works. *)
   let s =
-    Prims.with_class Prims.RW (fun () ->
+    Tier.with_ (`Prim Prims.RW) (fun () ->
         Platform.Semaphore.Counting.create ~fairness:`Weak 1)
   in
   Platform.Semaphore.Counting.p s;

@@ -154,10 +154,6 @@ let test_fifo_ticket () = fifo_storm Queuelock.Ticket
 
 let abandonment_storm kind =
   let m = Queuelock.with_kind kind (fun () -> Mutex.create ()) in
-  check_bool "queue tier selected" true
-    (match m.Mutex.impl with
-    | Mutex.Queue q -> q.Queuelock.qk_kind = kind
-    | _ -> false);
   Mutex.lock m;
   let failures = Atomic.make 0 in
   let attempts =
