@@ -597,21 +597,11 @@ let bench_fastpath () =
           Sync_resources.Fastring.put fring 1;
           ignore (Sync_resources.Fastring.get fring))) ]
 
-let bench_model_proofs () =
-  section "E17: staged scenarios model-checked over ALL interleavings";
-  List.iter
-    (fun (name, v) ->
-      Printf.printf "%-28s states=%-5d holds=%b  %s\n%!" name
-        v.Sync_model.Scenarios.states v.Sync_model.Scenarios.holds
-        v.Sync_model.Scenarios.detail)
-    (Sync_model.Scenarios.all ())
-
 let () =
   print_endline
     "Bloom (SOSP'79) 'Evaluating Synchronization Mechanisms' — full \
      experiment regeneration";
   part_a ();
-  bench_model_proofs ();
   bench_overhead ();
   bench_engines ();
   bench_two_stage ();

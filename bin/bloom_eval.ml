@@ -1018,22 +1018,6 @@ let paths_cmd =
   in
   Cmd.v (Cmd.info "paths" ~doc) Term.(const run $ src)
 
-let model_cmd =
-  let doc =
-    "Exhaustively model-check the staged scenarios over ALL interleavings      (experiment E17): the Figure 1 anomaly is unavoidable; the monitor      readers-priority handoff is schedule-independent; flipping the      release-site signal provably flips the outcome."
-  in
-  let run () =
-    let ok = ref true in
-    List.iter
-      (fun (name, v) ->
-        if not v.Sync_model.Scenarios.holds then ok := false;
-        Format.fprintf ppf "%-28s states=%-5d %s@." name
-          v.Sync_model.Scenarios.states v.Sync_model.Scenarios.detail)
-      (Sync_model.Scenarios.all ());
-    if not !ok then exit 1
-  in
-  Cmd.v (Cmd.info "model" ~doc) Term.(const run $ const ())
-
 let nested_cmd =
   let doc =
     "Demonstrate the nested-monitor-call problem (experiment E11): the \
@@ -1076,7 +1060,14 @@ let nested_cmd =
 
 let explore_cmd =
   let doc =
-    "Explore deterministic schedules of a scenario (E18): run the real      mechanism implementation under controlled interleavings with a seeded      random walk, PCT priority fuzzing, or bounded exhaustive DFS. Failing      schedules print their seed and schedule string and shrink to a minimal      counterexample; with no SCENARIO, lists the catalog."
+    "Explore deterministic schedules of a scenario (E18): run the real \
+     mechanism implementation under controlled interleavings with a seeded \
+     random walk, PCT priority fuzzing, bounded exhaustive DFS or DPOR. \
+     Failing schedules print their seed and schedule string and shrink to \
+     a minimal counterexample; with no SCENARIO, lists the catalog. Exits \
+     0 when no failure is found (dfs/dpor: over the whole tree), 1 on a \
+     failing schedule, 2 on a usage error, and 3 when dfs/dpor spent the \
+     schedule budget without covering the tree."
   in
   let open Sync_detsched in
   let scenario_arg =
@@ -1109,7 +1100,9 @@ let explore_cmd =
   in
   let max_schedules =
     Arg.(value & opt int 10_000 & info [ "max-schedules" ] ~docv:"N"
-           ~doc:"Schedule budget for dfs.")
+           ~doc:"Schedule budget for dfs and dpor. A search that spends \
+                 it without covering the whole tree and without finding a \
+                 failure exits 3.")
   in
   let replay_arg =
     Arg.(value & opt (some string) None
@@ -1136,6 +1129,22 @@ let explore_cmd =
     Format.fprintf ppf "  shrunk (%d replays): %s@." s.Detsched.attempts
       (Detsched.Schedule.to_string s.Detsched.shrunk);
     Format.fprintf ppf "  %s@." s.Detsched.message
+  in
+  (* Exit 1 on a failing schedule, 3 when the budget ran out before the
+     tree was covered: an incomplete search proves nothing. *)
+  let report_search ~complete failures =
+    match failures with
+    | (sched, msg) :: _ ->
+      Format.fprintf ppf "%d failing schedule(s), first:@.  %s@.  %s@."
+        (List.length failures)
+        (Detsched.Schedule.to_string sched)
+        msg;
+      exit 1
+    | [] when complete -> Format.fprintf ppf "no failing schedule@."
+    | [] ->
+      Format.fprintf ppf
+        "no failing schedule within the budget; the search is incomplete@.";
+      exit 3
   in
   let replay_traced sc sched_str =
     let sched =
@@ -1182,24 +1191,15 @@ let explore_cmd =
           | Some (bad_seed, v) ->
             report_failure sc bad_seed v;
             exit 1)
-        | "dfs" -> (
+        | "dfs" ->
           let r = Detsched.explore_dfs ~max_schedules sc in
           Format.fprintf ppf
             "%s: %d schedules explored (%s), deepest %d decisions@." name
             r.Detsched.explored
             (if r.Detsched.complete then "complete" else "budget hit")
             r.Detsched.deepest;
-          match r.Detsched.failures with
-          | [] -> Format.fprintf ppf "no failing schedule@."
-          | fs ->
-            Format.fprintf ppf "%d failing schedule(s), first:@."
-              (List.length fs);
-            let sched, msg = List.hd fs in
-            Format.fprintf ppf "  %s@.  %s@."
-              (Detsched.Schedule.to_string sched)
-              msg;
-            exit 1)
-        | "dpor" -> (
+          report_search ~complete:r.Detsched.complete r.Detsched.failures
+        | "dpor" ->
           let r = Detsched.explore_dpor ~max_schedules ~workers sc in
           Format.fprintf ppf
             "%s: %d schedules explored (%s), deepest %d decisions, %d \
@@ -1209,16 +1209,7 @@ let explore_cmd =
              else "budget hit")
             r.Detsched.deepest r.Detsched.races r.Detsched.workers
             r.Detsched.per_sec;
-          match r.Detsched.failures with
-          | [] -> Format.fprintf ppf "no failing schedule@."
-          | fs ->
-            Format.fprintf ppf "%d failing schedule(s), first:@."
-              (List.length fs);
-            let sched, msg = List.hd fs in
-            Format.fprintf ppf "  %s@.  %s@."
-              (Detsched.Schedule.to_string sched)
-              msg;
-            exit 1)
+          report_search ~complete:r.Detsched.complete r.Detsched.failures
         | s ->
           Format.fprintf ppf
             "unknown strategy %S (random | pct | dfs | dpor)@." s;
@@ -1346,6 +1337,6 @@ let () =
        (Cmd.group info
           [ list_cmd; matrix_cmd; independence_cmd; modularity_cmd;
             conformance_cmd; scorecard_cmd; anomaly_cmd; run_cmd; paths_cmd;
-            trace_cmd; model_cmd; nested_cmd; explore_cmd; exploration_cmd;
+            trace_cmd; nested_cmd; explore_cmd; exploration_cmd;
             faults_cmd; load_cmd; hierarchy_cmd; scaling_cmd; adapt_cmd;
             serve_cmd ]))

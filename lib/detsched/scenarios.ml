@@ -51,22 +51,73 @@ let rw_handoff name (module S : Rw_intf.S) =
             | None -> Error "scenario body did not run"
             | Some r -> Rw_harness.det_check_writer_handoff (module S) r) })
 
-let fcfs name (module S : Fcfs_intf.S) ~variant =
+let fcfs ?(users = 4) name (module S : Fcfs_intf.S) ~variant =
   Detsched.scenario ~name
     ~descr:
       (Printf.sprintf
-         "FCFS drain order (%s%s): gated holder, 4 contenders queued in order"
+         "FCFS drain order (%s%s): gated holder, %d contenders queued in order"
          S.mechanism
-         (if variant = "" then "" else ", " ^ variant))
+         (if variant = "" then "" else ", " ^ variant)
+         users)
     (fun () ->
       let report = ref None in
       { Detsched.body =
-          (fun () -> report := Some (Fcfs_harness.det_run (module S) ~users:4 ()));
+          (fun () -> report := Some (Fcfs_harness.det_run (module S) ~users ()));
         check =
           (fun () ->
             match !report with
             | None -> Error "scenario body did not run"
             | Some r -> Fcfs_harness.check r) })
+
+(* Hoare's no-barging guarantee on the real monitor: a waiter W parks on
+   [c]; then a thief enters once and takes the token if it is set, and a
+   signaller sets the token and signals [c]. Under signal-and-wait the
+   monitor passes straight from the signaller to W, so W sees the token
+   on every schedule. Under Mesa signal-and-continue W re-enters through
+   the entry queue and the thief can get there first — the control. W
+   deliberately does not re-test in a loop: it is the guarantee itself
+   being checked. *)
+let no_barging name ~discipline =
+  let open Sync_platform in
+  let open Sync_monitor in
+  Detsched.scenario ~name
+    ~descr:
+      (Printf.sprintf
+         "no barging (%s monitor): waiter parked on c, then a thief and a \
+          signaller passing the waiter a token"
+         (match discipline with `Hoare -> "Hoare" | `Mesa -> "Mesa"))
+    (fun () ->
+      let saw = ref None in
+      { Detsched.body =
+          (fun () ->
+            let m = Monitor.create ~discipline () in
+            let c = Monitor.Cond.create m in
+            let token = ref false in
+            let waiter =
+              Process.spawn ~name:"waiter" (fun () ->
+                  Monitor.with_monitor m (fun () ->
+                      Monitor.Cond.wait c;
+                      saw := Some !token))
+            in
+            Detrt.await_quiescence ();
+            let thief =
+              Process.spawn ~name:"thief" (fun () ->
+                  Monitor.with_monitor m (fun () ->
+                      if !token then token := false))
+            in
+            let signaller =
+              Process.spawn ~name:"signaller" (fun () ->
+                  Monitor.with_monitor m (fun () ->
+                      token := true;
+                      Monitor.Cond.signal c))
+            in
+            List.iter Process.join [ waiter; thief; signaller ]);
+        check =
+          (fun () ->
+            match !saw with
+            | Some true -> Ok ()
+            | Some false -> Error "the waiter lost the token to a barger"
+            | None -> Error "the waiter never woke") })
 
 (* Readers-writers exclusion under the full stress mix: every reader and
    writer goes through the self-checking store, so the scenario machine-
@@ -381,6 +432,32 @@ let swap_excl ~tasks ~rounds ~flips =
 let swap_excl_norecheck ~tasks ~rounds ~flips =
   swap_excl_protocol ~recheck:false ~tasks ~rounds ~flips
 
+(* The release-site flip (Bloom §5.2, "the priority constraint lives in
+   this line"): the Hoare readers-priority monitor with only the
+   writer's release line swapped, [oktowrite] consulted before
+   [oktoread]. Everything else is the real solution, so the footnote-3
+   handoff must come out writer-first on every schedule — the policy
+   flips because that one line does. *)
+module Rw_mon_flip = struct
+  include Rw_mon.Readers_prio
+  open Sync_monitor
+
+  let policy = Rw_intf.Writers_priority
+
+  let write t ~pid =
+    Protected.access t.mon
+      ~before:(fun () ->
+        while t.writing || t.readers > 0 do
+          Monitor.Cond.wait t.oktowrite
+        done;
+        t.writing <- true)
+      ~after:(fun () ->
+        t.writing <- false;
+        if Monitor.Cond.queue t.oktowrite then Monitor.Cond.signal t.oktowrite
+        else Monitor.Cond.signal t.oktoread)
+      (fun () -> t.res_write ~pid)
+end
+
 (* The control experiment: the textbook broken lock (test, then set —
    no atomicity between them). Exploration must find the schedule where
    both tasks pass the test before either sets the flag; with it, the
@@ -490,11 +567,19 @@ let all : entry list =
     { scen = rw_handoff "rw-fig2" (module Rw_path.Fig2); expect = Pass };
     { scen = rw_handoff "rw-mon" (module Rw_mon.Readers_prio); expect = Pass };
     { scen = rw_handoff "rw-ser" (module Rw_ser.Readers_prio); expect = Pass };
+    { scen = rw_handoff "rw-sem" (module Rw_sem.Readers_prio); expect = Fail };
+    { scen = rw_handoff "rw-sem-baton" (module Rw_sem.Readers_prio_baton);
+      expect = Pass };
+    { scen = rw_handoff "rw-mon-flip" (module Rw_mon_flip); expect = Pass };
+    { scen = no_barging "hoare-no-barging" ~discipline:`Hoare; expect = Pass };
+    { scen = no_barging "mesa-barging" ~discipline:`Mesa; expect = Fail };
     { scen = fcfs "fcfs-mon-hoare" (module Fcfs_mon) ~variant:"hoare";
       expect = Pass };
     { scen = fcfs "fcfs-mon-mesa" (module Fcfs_mon.Mesa) ~variant:"mesa";
       expect = Pass };
     { scen = fcfs "fcfs-sem" (module Fcfs_sem) ~variant:""; expect = Pass };
+    { scen = fcfs ~users:2 "fcfs-sem-2" (module Fcfs_sem) ~variant:"";
+      expect = Pass };
     { scen = bakery_excl ~tasks:2 ~rounds:1; expect = Pass };
     { scen = ticket_excl ~tasks:2 ~rounds:2; expect = Pass };
     { scen = mcs_excl ~tasks:2 ~rounds:1; expect = Pass };

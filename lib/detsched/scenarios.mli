@@ -1,10 +1,18 @@
 (** Catalog of deterministic scenarios over the real mechanism
     implementations: bounded buffer (semaphore, monitor), the footnote-3
-    writer-handoff situation (Figure 1 and 2 path expressions, monitor,
-    serializer), FCFS drain order (Hoare monitor, Mesa ticket monitor,
-    semaphore queue), and a deliberate lock-order-inversion deadlock.
-    Entries marked [Fail] are the reproduced anomalies — exploration is
-    expected to find failing schedules there and nowhere else. *)
+    writer-handoff situation (Figure 1 and 2 path expressions, strong
+    semaphores and their baton rewrite, monitor, serializer), FCFS drain
+    order (Hoare monitor, Mesa ticket monitor, semaphore queue), Hoare
+    no-barging with its Mesa control, and a deliberate
+    lock-order-inversion deadlock. Entries marked [Fail] are the
+    reproduced anomalies and broken controls — exploration is expected to
+    find failing schedules there and nowhere else.
+
+    The E17 proofs are entries here: DPOR over every equivalence class of
+    [rw-fig1] and [rw-sem] (every class writer-first), [rw-sem-baton],
+    [rw-ser] and [rw-mon] (every class reader-first), and [rw-mon-flip],
+    the Hoare monitor with only the writer's release line swapped
+    (every class writer-first, as writers-priority expects). *)
 
 type expectation = Pass | Fail
 
