@@ -211,6 +211,7 @@ module Det_bakery = Sync_prims.Bakery.Make (Det_regs)
 module Det_faa = Sync_prims.Faalock.Make (Det_regs)
 module Det_ticket_sem = Sync_prims.Ticket_sem.Make (Det_regs)
 module Det_queue = Sync_prims.Queuelock.Make (Det_regs)
+module Det_lease = Sync_prims.Lease.Make (Det_regs)
 
 (* Mutual-exclusion check with a recorded register as the witness: the
    owner register's ops are scheduling points themselves, so if two
@@ -311,6 +312,63 @@ let clh_excl ~tasks ~rounds =
       let l = Det_queue.Clh.create ~slots:tasks () in
       ( (fun i -> Det_queue.Clh.lock l ~slot:i),
         fun i -> Det_queue.Clh.unlock l ~slot:i ))
+
+(* Slot reuse: more tasks than slots share one queue lock through the
+   production lease wrapper ({!Sync_prims.Lease}), so a slot passes from
+   task to task and the lease CASes, releases and the wait for a free
+   slot are scheduling points like the protocol's own steps. Task [i]
+   hints slot [i mod slots]. The catalog runs two tasks on one slot: a
+   three-task, two-slot tree is past two million classes.
+   [early_release] is the broken control: the slot goes back {e before}
+   the unlock, so it can be re-leased while its node is still in the
+   queue. The control is run on MCS, where the damage lands in recorded
+   registers. CLH's per-slot node bookkeeping is plain memory, which the
+   deterministic runtime runs without a scheduling point between the
+   releaser's lease store and its unlock's reads, so the interleaving
+   that breaks CLH cannot arise there and its control would pass. *)
+let lease_excl kind ~early_release ~tasks ~slots ~rounds =
+  let label = match kind with `Mcs -> "mcs" | `Clh -> "clh" in
+  prim_excl
+    (Printf.sprintf "%s-lease%s-%dt%ds%dr" label
+       (if early_release then "-early-release" else "")
+       tasks slots rounds)
+    ~descr:
+      (Printf.sprintf
+         "%s%s queue lock behind slot leases: %d tasks share %d slot(s) \
+          for %d round(s), exclusion witnessed on a recorded register"
+         (if early_release then "BROKEN (lease released before unlock) "
+          else "")
+         (String.uppercase_ascii label) tasks slots rounds)
+    ~tasks ~rounds
+    ~make:(fun ~tasks ->
+      let lock, try_lock, unlock =
+        match kind with
+        | `Mcs ->
+          let l = Det_queue.Mcs.create ~slots () in
+          ( (fun slot -> Det_queue.Mcs.lock l ~slot),
+            (fun slot -> Det_queue.Mcs.try_lock l ~slot),
+            fun slot -> Det_queue.Mcs.unlock l ~slot )
+        | `Clh ->
+          let l = Det_queue.Clh.create ~slots () in
+          ( (fun slot -> Det_queue.Clh.lock l ~slot),
+            (fun slot -> Det_queue.Clh.try_lock l ~slot),
+            fun slot -> Det_queue.Clh.unlock l ~slot )
+      in
+      let leases = Det_lease.create slots in
+      if early_release then begin
+        let held = Array.make tasks 0 in
+        ( (fun i ->
+            let s = Det_lease.lease leases ~hint:i in
+            lock s;
+            held.(i) <- s),
+          fun i ->
+            let s = held.(i) in
+            Det_lease.release leases s;
+            unlock s )
+      end
+      else
+        let lock, _, unlock = Det_lease.guard leases ~lock ~try_lock ~unlock in
+        ((fun i -> lock ~hint:i), fun _ -> unlock ()))
 
 let qticket_excl ~tasks ~rounds =
   prim_excl
@@ -584,6 +642,12 @@ let all : entry list =
     { scen = ticket_excl ~tasks:2 ~rounds:2; expect = Pass };
     { scen = mcs_excl ~tasks:2 ~rounds:1; expect = Pass };
     { scen = clh_excl ~tasks:2 ~rounds:1; expect = Pass };
+    { scen = lease_excl `Mcs ~early_release:false ~tasks:2 ~slots:1 ~rounds:2;
+      expect = Pass };
+    { scen = lease_excl `Clh ~early_release:false ~tasks:2 ~slots:1 ~rounds:2;
+      expect = Pass };
+    { scen = lease_excl `Mcs ~early_release:true ~tasks:2 ~slots:1 ~rounds:1;
+      expect = Fail };
     { scen = qticket_excl ~tasks:2 ~rounds:2; expect = Pass };
     { scen = swap_excl ~tasks:1 ~rounds:1 ~flips:1; expect = Pass };
     { scen = swap_excl_norecheck ~tasks:1 ~rounds:1 ~flips:1; expect = Fail };

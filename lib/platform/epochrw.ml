@@ -2,7 +2,8 @@
    design (one counter under a mutex) makes every reader entry a write
    to one shared cache line; here each reader publishes its presence in
    a private padded slot, so uncontended read entry/exit is two stores
-   to the reader's own line and read throughput scales with domains.
+   to the reader's own line, plus the CAS and store that lease and
+   return the slot, and read throughput scales with domains.
 
    Per-slot protocol word: a monotonically increasing epoch counter,
    odd while the slot's thread is inside a read section, even when
@@ -16,27 +17,31 @@
    [wr], retreats (bumping back to even), and backs off until the
    writer is done.
 
-   Non-reentrant on the read side (the parity trick breaks on nesting);
-   at most [slots] distinct reader threads per lock, assigned through
-   the same out-of-protocol registry as the queue locks. Readers never
-   block writers indefinitely only by finishing their sections; new
+   Non-reentrant on the read side (the parity trick breaks on nesting).
+   A reader leases its slot ({!Sync_prims.Lease}) for the one section,
+   outside the protocol, so the slot count bounds concurrent readers,
+   not reader threads; a slot's counter keeps growing across the
+   readers that lease it, so the grace-period wait stays sound.
+   Readers never block writers indefinitely only by finishing their
+   sections; new
    readers are barred while a writer is in progress, but between
    back-to-back writers readers may slip in — no priority claim beyond
    exclusion is made. *)
+
+module Lease = Sync_prims.Lease
 
 type t = {
   slots : int Atomic.t array;
   pads : int array array;
   wr : int Atomic.t;
   wm : Stdlib.Mutex.t;
-  reg_m : Stdlib.Mutex.t;
-  tbl : (int, int) Hashtbl.t;
-  mutable next_slot : int;
+  leases : Lease.Shared.t;
 }
 
 let pad_words = Sync_prims.Queuelock.pad_words
 
-let create ?(slots = 64) () =
+let create () =
+  let slots = Lease.slots in
   let pads = Array.make (slots + 1) [||] in
   let mk i =
     let r = Atomic.make 0 in
@@ -48,34 +53,10 @@ let create ?(slots = 64) () =
     pads;
     wr;
     wm = Stdlib.Mutex.create ();
-    reg_m = Stdlib.Mutex.create ();
-    tbl = Hashtbl.create 16;
-    next_slot = 0 }
-
-let slot_of_self t =
-  let tid = Thread.id (Thread.self ()) in
-  Stdlib.Mutex.lock t.reg_m;
-  let s =
-    match Hashtbl.find_opt t.tbl tid with
-    | Some s -> s
-    | None ->
-      let n = Array.length t.slots in
-      if t.next_slot >= n then begin
-        Stdlib.Mutex.unlock t.reg_m;
-        failwith
-          (Printf.sprintf
-             "Epochrw: more than %d distinct reader threads on one lock" n)
-      end;
-      let s = t.next_slot in
-      t.next_slot <- s + 1;
-      Hashtbl.add t.tbl tid s;
-      s
-  in
-  Stdlib.Mutex.unlock t.reg_m;
-  s
+    leases = Lease.Shared.create slots }
 
 let read_lock t =
-  let s = slot_of_self t in
+  let s = Lease.Shared.lease t.leases ~hint:(Lease.self_hint ()) in
   let slot = t.slots.(s) in
   let rec enter () =
     let e = Atomic.get slot in
@@ -92,11 +73,13 @@ let read_lock t =
       enter ()
     end
   in
-  enter ()
+  enter ();
+  s
 
-let read_unlock t =
-  let slot = t.slots.(slot_of_self t) in
-  Atomic.set slot (Atomic.get slot + 1)
+let read_unlock t s =
+  let slot = t.slots.(s) in
+  Atomic.set slot (Atomic.get slot + 1);
+  Lease.Shared.release t.leases s
 
 let write_lock t =
   Stdlib.Mutex.lock t.wm;
@@ -120,8 +103,8 @@ let write_unlock t =
   Stdlib.Mutex.unlock t.wm
 
 let with_read t f =
-  read_lock t;
-  Fun.protect ~finally:(fun () -> read_unlock t) f
+  let s = read_lock t in
+  Fun.protect ~finally:(fun () -> read_unlock t s) f
 
 let with_write t f =
   write_lock t;

@@ -3,8 +3,9 @@
     Each reader thread publishes its presence in a private, cache-line
     padded slot — a monotonically increasing epoch counter, odd while
     the reader is inside a section. Uncontended read entry/exit touches
-    only that slot's line, so read throughput scales with domain count
-    instead of serializing on a shared reader counter. Writers
+    only that slot's line and the flag that leases it, so read
+    throughput scales with domain count instead of serializing on a
+    shared reader counter. Writers
     serialize on an internal mutex, raise a write-intent flag, then
     wait out a grace period: every slot sampled odd must move before
     the writer proceeds. Readers that observe the intent flag retreat
@@ -12,25 +13,29 @@
     readers.
 
     Constraints: the read side is non-reentrant (the slot parity trick
-    breaks on nesting); at most [slots] distinct reader threads may
-    ever use one lock (slot assignment is a thread-id registry outside
-    the protocol, like {!Sync_prims.Queuelock}); real threads only —
-    this path is about cache traffic, which {!Detrt} virtual tasks do
-    not model. Policy is no-priority: exclusion is guaranteed, no
-    ordering beyond it. *)
+    breaks on nesting); a reader leases its slot for the one section
+    ({!Sync_prims.Lease}, outside the protocol), so at most
+    {!Sync_prims.Lease.slots} readers are inside at once and any
+    further reader waits for a slot — the number of reader threads
+    over the lock's lifetime is unbounded; real threads only — this
+    path is about cache traffic, which {!Detrt} virtual tasks do not
+    model. Policy is no-priority: exclusion is guaranteed, no ordering
+    beyond it. *)
 
 type t
 
-val create : ?slots:int -> unit -> t
-(** New lock with capacity for [slots] (default 64) distinct reader
-    threads. Writer capacity is unbounded. *)
+val create : unit -> t
+(** New lock. Writer capacity is unbounded. *)
 
-val read_lock : t -> unit
-(** Enter a read section. Spins (with backoff) only while a writer is
-    in progress; otherwise two plain stores on the caller's own slot. *)
+val read_lock : t -> int
+(** Enter a read section and return the leased slot, to be passed to
+    {!read_unlock}. Without a writer in progress the cost is one CAS to
+    lease the slot and two stores on it; with one, the reader spins
+    (with backoff) until it is done. *)
 
-val read_unlock : t -> unit
-(** Leave a read section entered by the same thread. *)
+val read_unlock : t -> int -> unit
+(** [read_unlock t s] leaves the read section [read_lock t] returned
+    [s] for, and gives the slot back. *)
 
 val write_lock : t -> unit
 (** Acquire exclusive access: serialize with other writers, bar new

@@ -46,44 +46,6 @@ module T_faa = Ticket_sem.Make (Regs.Shared)
 module T_cas = Ticket_sem.Make (Regs.Faa_of_cas (Regs.Shared))
 module T_llsc = Ticket_sem.Make (L.Faa_regs)
 
-(* The bakery is a static-process algorithm: per-lock slot assignment
-   maps real threads onto register indices. The registry is ordinary
-   bookkeeping outside the protocol (the protocol itself never touches
-   it while contending), so a stdlib mutex here does not launder an
-   unsupported primitive into the RW class. *)
-let bakery_slots = 64
-
-type rw_slots = {
-  reg_m : Stdlib.Mutex.t;
-  tbl : (int, int) Hashtbl.t;
-  mutable next_slot : int;
-}
-
-let slot_of_self r =
-  let tid = Thread.id (Thread.self ()) in
-  Stdlib.Mutex.lock r.reg_m;
-  let s =
-    match Hashtbl.find_opt r.tbl tid with
-    | Some s -> s
-    | None ->
-      if r.next_slot >= bakery_slots then begin
-        Stdlib.Mutex.unlock r.reg_m;
-        failwith
-          (Printf.sprintf
-             "Prims: more than %d distinct threads on one RW-class lock"
-             bakery_slots)
-      end;
-      let s = r.next_slot in
-      r.next_slot <- s + 1;
-      Hashtbl.add r.tbl tid s;
-      s
-  in
-  Stdlib.Mutex.unlock r.reg_m;
-  s
-
-let rw_slots () =
-  { reg_m = Stdlib.Mutex.create (); tbl = Hashtbl.create 16; next_slot = 0 }
-
 (* ------------------------------------------------------------------ *)
 (* Locks: one closure record regardless of class, so the platform mutex
    carries a single [Prim] representation. *)
@@ -114,14 +76,21 @@ let lock_of (module L : LOCK) cls =
     lk_try = (fun () -> L.try_lock l);
     lk_unlock = (fun () -> L.unlock l) }
 
+(* The bakery is a static-process algorithm: a caller leases a slot
+   ({!Lease}) for the span of lock to unlock. The lease's CAS is
+   bookkeeping outside the protocol ([B] is typed over {!Regs.RW} and
+   never sees it), so it does not launder an unsupported primitive into
+   the RW class. *)
 let make_lock = function
   | RW ->
-    let b = B.create ~bound:4096 ~slots:bakery_slots () in
-    let slots = rw_slots () in
-    { lk_cls = RW;
-      lk_lock = (fun () -> B.lock b ~slot:(slot_of_self slots));
-      lk_try = (fun () -> B.try_lock b ~slot:(slot_of_self slots));
-      lk_unlock = (fun () -> B.unlock b ~slot:(slot_of_self slots)) }
+    let b = B.create ~bound:4096 ~slots:Lease.slots () in
+    let lk_lock, lk_try, lk_unlock =
+      Lease.guard_self
+        ~lock:(fun slot -> B.lock b ~slot)
+        ~try_lock:(fun slot -> B.try_lock b ~slot)
+        ~unlock:(fun slot -> B.unlock b ~slot)
+    in
+    { lk_cls = RW; lk_lock; lk_try; lk_unlock }
   | CAS -> lock_of (module C.Lock) CAS
   | FAA -> lock_of (module F.Lock) FAA
   | LLSC -> lock_of (module L.Lock) LLSC
@@ -151,14 +120,12 @@ type sem = {
    pre-wait on the value register. Barging (hence weak): the pre-wait
    carries no order. *)
 let rw_sem n =
-  let b = B.create ~bound:4096 ~slots:bakery_slots () in
-  let slots = rw_slots () in
+  let lk = make_lock RW in
   let value = Regs.Shared.make n in
   let locked f =
-    let s = slot_of_self slots in
-    B.lock b ~slot:s;
+    lk.lk_lock ();
     let r = f () in
-    B.unlock b ~slot:s;
+    lk.lk_unlock ();
     r
   in
   let try_p () =

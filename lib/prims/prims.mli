@@ -53,8 +53,10 @@ type lock = {
 }
 
 val make_lock : cls -> lock
-(** @raise Unsupported for [Native]. RW-class locks assign bakery slots
-    per calling thread (at most 64 distinct threads per lock). *)
+(** @raise Unsupported for [Native]. An RW-class caller leases one of
+    the bakery's {!Lease.slots} slots from lock to unlock, so the bound
+    caps concurrent contenders, not lifetime threads; [lk_try] returns
+    [false] when every slot is leased. *)
 
 (** A class-restricted counting semaphore. [sm_p_poll expired] is the
     timed P: it returns [false] only after observing [expired ()] true,

@@ -8,9 +8,9 @@
    {!Detrt} recorded registers for DPOR certification.
 
    All three are static-process algorithms in the bakery mould: MCS and
-   CLH map threads onto per-lock slot indices via an out-of-protocol
-   registry (the protocol itself never reads it while contending); the
-   ticket lock needs no slots at all. None are reentrant. *)
+   CLH index per-slot registers, and a caller leases a slot ({!Lease})
+   from lock to unlock, outside the protocol; the ticket lock needs no
+   slots at all. None are reentrant. *)
 
 (* Cache-line spacing for the per-slot spin registers: OCaml 5.1 has no
    [Atomic.make_contended], so we reuse the Fastring idiom — allocate a
@@ -219,41 +219,6 @@ let with_kind k f = Tier.with_ (`Queue k) f
 
 module Q = Make (Regs.Shared)
 
-let queue_slots = 64
-
-(* Per-lock thread -> slot assignment for the slot-indexed locks; the
-   same out-of-protocol registry idiom as the E25 bakery. *)
-type q_slots = {
-  reg_m : Stdlib.Mutex.t;
-  tbl : (int, int) Hashtbl.t;
-  mutable next_slot : int;
-}
-
-let slot_of_self r =
-  let tid = Thread.id (Thread.self ()) in
-  Stdlib.Mutex.lock r.reg_m;
-  let s =
-    match Hashtbl.find_opt r.tbl tid with
-    | Some s -> s
-    | None ->
-      if r.next_slot >= queue_slots then begin
-        Stdlib.Mutex.unlock r.reg_m;
-        failwith
-          (Printf.sprintf
-             "Queuelock: more than %d distinct threads on one queue lock"
-             queue_slots)
-      end;
-      let s = r.next_slot in
-      r.next_slot <- s + 1;
-      Hashtbl.add r.tbl tid s;
-      s
-  in
-  Stdlib.Mutex.unlock r.reg_m;
-  s
-
-let q_slots () =
-  { reg_m = Stdlib.Mutex.create (); tbl = Hashtbl.create 16; next_slot = 0 }
-
 type lock = {
   qk_kind : kind;
   qk_lock : unit -> unit;
@@ -261,21 +226,23 @@ type lock = {
   qk_unlock : unit -> unit;
 }
 
+let leased qk_kind ~lock ~try_lock ~unlock =
+  let qk_lock, qk_try, qk_unlock = Lease.guard_self ~lock ~try_lock ~unlock in
+  { qk_kind; qk_lock; qk_try; qk_unlock }
+
 let make_lock = function
   | MCS ->
-    let l = Q.Mcs.create ~slots:queue_slots () in
-    let slots = q_slots () in
-    { qk_kind = MCS;
-      qk_lock = (fun () -> Q.Mcs.lock l ~slot:(slot_of_self slots));
-      qk_try = (fun () -> Q.Mcs.try_lock l ~slot:(slot_of_self slots));
-      qk_unlock = (fun () -> Q.Mcs.unlock l ~slot:(slot_of_self slots)) }
+    let l = Q.Mcs.create ~slots:Lease.slots () in
+    leased MCS
+      ~lock:(fun slot -> Q.Mcs.lock l ~slot)
+      ~try_lock:(fun slot -> Q.Mcs.try_lock l ~slot)
+      ~unlock:(fun slot -> Q.Mcs.unlock l ~slot)
   | CLH ->
-    let l = Q.Clh.create ~slots:queue_slots () in
-    let slots = q_slots () in
-    { qk_kind = CLH;
-      qk_lock = (fun () -> Q.Clh.lock l ~slot:(slot_of_self slots));
-      qk_try = (fun () -> Q.Clh.try_lock l ~slot:(slot_of_self slots));
-      qk_unlock = (fun () -> Q.Clh.unlock l ~slot:(slot_of_self slots)) }
+    let l = Q.Clh.create ~slots:Lease.slots () in
+    leased CLH
+      ~lock:(fun slot -> Q.Clh.lock l ~slot)
+      ~try_lock:(fun slot -> Q.Clh.try_lock l ~slot)
+      ~unlock:(fun slot -> Q.Clh.unlock l ~slot)
   | Ticket ->
     let l = Q.Ticket.create () in
     { qk_kind = Ticket;

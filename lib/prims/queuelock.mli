@@ -10,8 +10,9 @@
 
     Kind selection is a creation-scope property ({!with_kind}, a
     {!Tier} scope): the innermost scope wins, and a deterministic run
-    outranks every scope. MCS/CLH assign each thread a per-lock slot (at
-    most 64 distinct threads per lock); none of the locks are
+    outranks every scope. An MCS/CLH caller leases one of the lock's
+    {!Lease.slots} slots from lock to unlock, so the slot count bounds
+    concurrent contenders, never lifetime threads; none of the locks are
     reentrant. *)
 
 val pad_words : int
@@ -95,6 +96,6 @@ type lock = {
     carries a single [Queue] representation. *)
 
 val make_lock : kind -> lock
-(** A fresh production lock (over SC atomics) of the given kind, with
-    the per-lock thread-to-slot registry already attached for the
-    slot-indexed kinds. *)
+(** A fresh production lock (over SC atomics) of the given kind. The
+    slot-indexed kinds come with their own lease table: [qk_lock] waits
+    for a free slot when every one is leased, [qk_try] returns [false]. *)

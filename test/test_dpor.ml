@@ -330,6 +330,20 @@ let test_swap_norecheck_found () =
         Alcotest.failf "unexpected failure mode: %s" m)
     r.failures
 
+(* Slot reuse: two tasks share one lease slot on an MCS and a CLH lock
+   through the production lease wrapper, so the slot passes between them
+   on every run. The control hands the lease back before the unlock; a
+   task that re-leases the slot then rewrites a node still in the queue,
+   and DPOR must find the schedules where that strands a waiter. *)
+let test_mcs_lease_complete =
+  complete_exactly "mcs-lease-2t1s2r" ~classes:12_893
+
+let test_clh_lease_complete = complete_exactly "clh-lease-2t1s2r" ~classes:7_202
+
+let test_early_release_found =
+  complete_exactly "mcs-lease-early-release-2t1s1r" ~classes:3_204
+    ~failing:186 ~affix:"deadlock"
+
 (* ------------------------------------------------------------------ *)
 (* Parallel sharding: partitioning the top-level frontier across domains
    must not change what is found. *)
@@ -468,7 +482,13 @@ let () =
           Alcotest.test_case "hot-swap flip exclusion beyond DFS reach"
             `Quick test_swap_complete;
           Alcotest.test_case "hot-swap without re-check caught" `Quick
-            test_swap_norecheck_found ] );
+            test_swap_norecheck_found;
+          Alcotest.test_case "mcs lease slot reuse" `Quick
+            test_mcs_lease_complete;
+          Alcotest.test_case "clh lease slot reuse" `Quick
+            test_clh_lease_complete;
+          Alcotest.test_case "lease released before unlock caught" `Quick
+            test_early_release_found ] );
       ( "parallel",
         [ Alcotest.test_case "sharded = sequential" `Quick test_workers ] );
       ( "regression",

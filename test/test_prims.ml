@@ -197,10 +197,9 @@ let lock_storm cls () =
   Alcotest.(check int) "mutual exclusion" 1 (Testutil.Gauge.max gauge);
   Alcotest.(check int) "all entries" (tasks * rounds) !entries
 
-let sem_storm cls fairness () =
+let sem_storm ?(tasks = 4) ?(rounds = 150) cls fairness () =
   let permits = 2 in
   let sm = Prims.make_sem cls ~fairness permits in
-  let tasks = 4 and rounds = 150 in
   let gauge = Testutil.Gauge.create () in
   Testutil.run_all
     (List.init tasks (fun _ () ->
@@ -231,6 +230,58 @@ let sem_poll_conservation cls fairness () =
   Alcotest.(check bool) "exactly one unit" false (sm.Prims.sm_try ());
   sm.Prims.sm_v 1;
   Alcotest.(check int) "value restored" 1 (sm.Prims.sm_value ())
+
+(* ---------------------------------------------------------------- *)
+(* Slot leases: the RW class's bakery slots                         *)
+(* ---------------------------------------------------------------- *)
+
+(* The weak semaphore holds a bakery slot only around its one critical
+   section, so it serves any number of threads over its lifetime. The
+   RW lock itself is churned with the queue locks in test_queue. *)
+let churn_threads = 200
+
+let test_rw_sem_churn () =
+  let sm = Prims.make_sem Prims.RW ~fairness:`Weak 1 in
+  let passed =
+    Testutil.churn churn_threads (fun () ->
+        sm.Prims.sm_p ();
+        sm.Prims.sm_v 1)
+  in
+  Alcotest.(check int) "every short-lived thread gets through" churn_threads
+    passed;
+  Alcotest.(check int) "permit conserved" 1 (sm.Prims.sm_value ())
+
+(* The lease table itself, at a size where "full" is exact: a try on a
+   full table fails without consulting the lock, and [lease] waits until
+   a slot comes back. *)
+let test_lease_full () =
+  let t = Lease.Shared.create 2 in
+  let a = Lease.Shared.lease t ~hint:0 in
+  let b = Lease.Shared.lease t ~hint:0 in
+  Alcotest.(check bool) "two distinct slots" true (a <> b);
+  Alcotest.(check bool) "full table" true
+    (Lease.Shared.try_lease t ~hint:1 = None);
+  let consulted = ref false in
+  let _, try_lock, _ =
+    Lease.Shared.guard t ~lock:ignore
+      ~try_lock:(fun _ ->
+        consulted := true;
+        true)
+      ~unlock:ignore
+  in
+  Alcotest.(check bool) "guarded try is false" false (try_lock ~hint:0);
+  Alcotest.(check bool) "lock not consulted" false !consulted;
+  let got = Atomic.make (-1) in
+  let waiter =
+    Testutil.spawn (fun () -> Atomic.set got (Lease.Shared.lease t ~hint:a))
+  in
+  Testutil.never ~for_:0.05 "lease granted on a full table" (fun () ->
+      Atomic.get got >= 0);
+  Lease.Shared.release t b;
+  Platform.Process.join waiter;
+  Alcotest.(check int) "waiter leased the freed slot" b (Atomic.get got);
+  Alcotest.(check bool) "table full again" true
+    (Lease.Shared.try_lease t ~hint:0 = None)
 
 (* ---------------------------------------------------------------- *)
 (* Pinned typed rejection: RW x strong semaphore                    *)
@@ -445,6 +496,14 @@ let () =
             (sem_poll_conservation Prims.LLSC `Strong);
           Alcotest.test_case "rw poll conservation" `Quick
             (sem_poll_conservation Prims.RW `Weak);
+        ] );
+      ( "leases",
+        [
+          Alcotest.test_case "rw weak sem churn" `Quick test_rw_sem_churn;
+          (* More live callers than bakery slots. *)
+          Alcotest.test_case "rw weak sem oversubscribed" `Quick
+            (sem_storm ~tasks:(Lease.slots + 16) ~rounds:2 Prims.RW `Weak);
+          Alcotest.test_case "full table" `Quick test_lease_full;
         ] );
       ( "rejection",
         [

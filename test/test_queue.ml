@@ -186,6 +186,84 @@ let test_abandon_clh () = abandonment_storm Queuelock.CLH
 let test_abandon_ticket () = abandonment_storm Queuelock.Ticket
 
 (* ------------------------------------------------------------------ *)
+(* Slot leases. A caller holds one of the lock's {!Sync_prims.Lease}
+   slots only from lock to unlock, so any number of threads may use a
+   lock over its lifetime, and more live threads than slots queue for a
+   lease instead of failing. Every slot-indexed lock is checked: MCS,
+   CLH and the RW-class bakery. *)
+
+let lease_slots = Sync_prims.Lease.slots
+
+let churn_threads = 200
+
+let slotted_locks =
+  let queue k () =
+    let l = Queuelock.make_lock k in
+    Queuelock.(l.qk_lock, l.qk_try, l.qk_unlock)
+  in
+  [ ("mcs", queue Queuelock.MCS);
+    ("clh", queue Queuelock.CLH);
+    ( "rw bakery",
+      fun () ->
+        let l = Sync_prims.Prims.make_lock Sync_prims.Prims.RW in
+        Sync_prims.Prims.(l.lk_lock, l.lk_try, l.lk_unlock) ) ]
+
+let test_churn make () =
+  let lock, try_lock, unlock = make () in
+  let passed =
+    Testutil.churn churn_threads (fun () ->
+        lock ();
+        unlock ();
+        if not (try_lock ()) then failwith "free lock refused try";
+        unlock ())
+  in
+  check_int "every short-lived thread gets through" churn_threads passed
+
+(* More live threads than slots, every one mixing blocking and try
+   acquisitions: exclusion holds and nobody fails for want of a slot. *)
+let test_oversubscribed make () =
+  let lock, try_lock, unlock = make () in
+  let threads = lease_slots + 16 and rounds = 2 in
+  let g = Testutil.Gauge.create () in
+  let entries = Atomic.make 0 in
+  let worker i () =
+    for r = 1 to rounds do
+      if (i + r) land 1 = 0 then lock ()
+      else
+        while not (try_lock ()) do
+          Thread.yield ()
+        done;
+      Testutil.Gauge.enter g;
+      Atomic.incr entries;
+      Testutil.Gauge.leave g;
+      unlock ()
+    done
+  in
+  Testutil.run_all (List.init threads worker);
+  check_int "never two holders" 1 (Testutil.Gauge.max g);
+  check_int "every acquisition completed" (threads * rounds)
+    (Atomic.get entries)
+
+(* With the lock held and every other slot leased by a queued waiter, a
+   try from one more thread reports [false] rather than raising. *)
+let test_try_when_full make () =
+  let lock, try_lock, unlock = make () in
+  lock ();
+  let waiters =
+    List.init (lease_slots - 1) (fun _ ->
+        Testutil.spawn (fun () ->
+            lock ();
+            unlock ()))
+  in
+  (* Time for the waiters to lease; the answer is [false] either way. *)
+  Thread.delay 0.05;
+  let got = Atomic.make None in
+  Process.join (Testutil.spawn (fun () -> Atomic.set got (Some (try_lock ()))));
+  check_bool "try on a full lock is false" true (Atomic.get got = Some false);
+  unlock ();
+  List.iter Process.join waiters
+
+(* ------------------------------------------------------------------ *)
 (* Epoch read-mostly lock (E23). *)
 
 (* Grace period: a writer that has raised intent must not proceed while
@@ -193,7 +271,7 @@ let test_abandon_ticket () = abandonment_storm Queuelock.Ticket
    leaves. *)
 let test_epoch_grace_period () =
   let t = Epochrw.create () in
-  Epochrw.read_lock t;
+  let s = Epochrw.read_lock t in
   check_int "one reader in-slot" 1 (Epochrw.readers t);
   let entered = Atomic.make false in
   let w =
@@ -206,7 +284,7 @@ let test_epoch_grace_period () =
       Epochrw.writer_active t);
   Testutil.never "writer entered over a live reader" (fun () ->
       Atomic.get entered);
-  Epochrw.read_unlock t;
+  Epochrw.read_unlock t s;
   Testutil.eventually "writer admitted after the grace period" (fun () ->
       Atomic.get entered);
   Process.join w;
@@ -221,9 +299,9 @@ let test_epoch_reader_blocked_by_writer () =
   let entered = Atomic.make false in
   let r =
     Testutil.spawn (fun () ->
-        Epochrw.read_lock t;
+        let s = Epochrw.read_lock t in
         Atomic.set entered true;
-        Epochrw.read_unlock t)
+        Epochrw.read_unlock t s)
   in
   Testutil.never "reader entered during the write" (fun () ->
       Atomic.get entered);
@@ -234,17 +312,20 @@ let test_epoch_reader_blocked_by_writer () =
   check_int "drained" 0 (Epochrw.readers t)
 
 (* Seeded storm: writers exclude each other and never run over an
-   in-section reader. *)
-let test_epoch_storm () =
+   in-section reader. With more readers than slots, a reader past the
+   last free slot waits for one, so at most [lease_slots] are ever
+   inside. *)
+let test_epoch_storm ?(readers = 4) ?(reads = 300) () =
   let t = Epochrw.create () in
   let wg = Testutil.Gauge.create () in
   let rg = Testutil.Gauge.create () in
   let overlap = Atomic.make false in
   let reader i () =
     let p = Prng.make (Int64.of_int (100 + i)) in
-    for _ = 1 to 300 do
+    for _ = 1 to reads do
       Epochrw.with_read t (fun () ->
           Testutil.Gauge.enter rg;
+          if Prng.int p 4 = 0 then Thread.yield ();
           Testutil.Gauge.leave rg);
       if Prng.int p 8 = 0 then Thread.yield ()
     done
@@ -259,9 +340,27 @@ let test_epoch_storm () =
       if Prng.int p 4 = 0 then Thread.yield ()
     done
   in
-  Process.run_all ~backend:`Thread (List.init 4 reader @ List.init 2 writer);
+  Process.run_all ~backend:`Thread
+    (List.init readers reader @ List.init 2 writer);
   check_int "one writer at a time" 1 (Testutil.Gauge.max wg);
   check_bool "no reader inside a write section" false (Atomic.get overlap);
+  check_bool
+    (Printf.sprintf "at most %d readers inside (saw %d)" lease_slots
+       (Testutil.Gauge.max rg))
+    true
+    (Testutil.Gauge.max rg <= lease_slots);
+  check_int "all slots drained" 0 (Epochrw.readers t)
+
+(* Reader slots are leased per section: a stream of short-lived reader
+   threads never runs the lock out of slots. *)
+let test_epoch_churn () =
+  let t = Epochrw.create () in
+  let passed =
+    Testutil.churn churn_threads (fun () ->
+        Epochrw.with_read t ignore;
+        Epochrw.with_write t ignore)
+  in
+  check_int "every short-lived reader gets through" churn_threads passed;
   check_int "all slots drained" 0 (Epochrw.readers t)
 
 (* The Rw_epoch mechanism through the shared readers-writers harness:
@@ -289,11 +388,23 @@ let () =
         [ Alcotest.test_case "mcs" `Quick test_abandon_mcs;
           Alcotest.test_case "clh" `Quick test_abandon_clh;
           Alcotest.test_case "ticket" `Quick test_abandon_ticket ] );
+      ( "leases",
+        List.concat_map
+          (fun (n, make) ->
+            [ Alcotest.test_case (n ^ " churn") `Quick (test_churn make);
+              Alcotest.test_case (n ^ " oversubscribed") `Quick
+                (test_oversubscribed make);
+              Alcotest.test_case (n ^ " try when full") `Quick
+                (test_try_when_full make) ])
+          slotted_locks );
       ( "epoch",
         [ Alcotest.test_case "grace period" `Quick test_epoch_grace_period;
           Alcotest.test_case "reader blocked by writer" `Quick
             test_epoch_reader_blocked_by_writer;
-          Alcotest.test_case "storm" `Quick test_epoch_storm;
+          Alcotest.test_case "storm" `Quick (fun () -> test_epoch_storm ());
+          Alcotest.test_case "churn" `Quick test_epoch_churn;
+          Alcotest.test_case "oversubscribed" `Quick (fun () ->
+              test_epoch_storm ~readers:(lease_slots + 16) ~reads:3 ());
           Alcotest.test_case "harness exclusion" `Quick
             test_rw_epoch_exclusion;
           Alcotest.test_case "harness reader overlap" `Quick

@@ -97,3 +97,14 @@ module Gauge = struct
 
   let current t = Atomic.get t.current
 end
+
+(* Run [n] short-lived threads one after another, each alive only while
+   it runs [f]; the number that finished without raising. Slot-indexed
+   locks must let every one through: only concurrent holders count
+   against their slots, never threads that have come and gone. *)
+let churn n f =
+  let ok = ref 0 in
+  for _ = 1 to n do
+    match Process.join (spawn f) with () -> incr ok | exception _ -> ()
+  done;
+  !ok
