@@ -1209,6 +1209,16 @@ let explore_cmd =
              else "budget hit")
             r.Detsched.deepest r.Detsched.races r.Detsched.workers
             r.Detsched.per_sec;
+          let per_class s =
+            s *. 1e6 /. float_of_int (max 1 r.Detsched.explored)
+          in
+          Format.fprintf ppf
+            "  replay %.3f s (%.1f us/class), analysis %.3f s (%.1f \
+             us/class)@."
+            r.Detsched.replay_secs
+            (per_class r.Detsched.replay_secs)
+            r.Detsched.analysis_secs
+            (per_class r.Detsched.analysis_secs);
           report_search ~complete:r.Detsched.complete r.Detsched.failures
         | s ->
           Format.fprintf ppf

@@ -145,6 +145,11 @@ type dpor_report = {
   workers : int;  (** domains actually used *)
   secs : float;
   per_sec : float;
+  replay_secs : float;
+      (** time spent executing runs, summed over workers *)
+  analysis_secs : float;
+      (** time spent between runs — race analysis and picking the next
+          backtrack point — summed over workers *)
 }
 
 val explore_dpor :

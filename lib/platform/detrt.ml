@@ -6,10 +6,15 @@
    interleaving replays byte-for-byte.
 
    Context-switch points are the blocking primitives themselves
-   (mutex lock/unlock, condition wait/signal/broadcast, spawn, join,
-   quiescence). Code between two primitive operations executes atomically,
-   which is sound for the mechanism implementations because they keep all
-   shared state under their low-level locks.
+   (mutex lock/unlock, condition wait/signal/broadcast, register access,
+   spawn, join, quiescence). Code between two primitive operations
+   executes atomically, so a race on shared state that is not a primitive
+   — a plain field or array two tasks both write — is never explored: an
+   exploration's certificate covers the register and lock traffic only.
+   Not every mechanism keeps all its shared state there: the CLH lock's
+   [my_node]/[my_pred] arrays in [Queuelock.Make] are plain, and since
+   slots are leased they pass between tasks. ROADMAP R7 step 1 (making
+   such cells registers) closes the gap.
 
    The runtime optionally narrates a run to an [observe] callback: which
    decision is about to be taken, which task each quantum belongs to, and
@@ -143,6 +148,14 @@ let make_runnable s t =
   t.state <- Runnable;
   s.runq <- s.runq @ [ t ]
 
+(* [l]'s [i]th element, and [l] without it. *)
+let rec pop_nth i = function
+  | [] -> invalid_arg "Detrt.pop_nth"
+  | x :: l when i = 0 -> (x, l)
+  | x :: l ->
+    let y, l = pop_nth (i - 1) l in
+    (y, x :: l)
+
 (* Pick the next runnable task and transfer control to it. Returns only
    when no progress is possible anymore (all done, deadlock, or the step
    limit tripped); the caller's stack then unwinds through the suspended
@@ -159,32 +172,31 @@ let next s =
     s.steps <- s.steps + 1;
     if s.steps > s.max_steps then s.limit_hit <- true
     else begin
-      let n = List.length q in
-      let idx =
-        if n = 1 then begin
+      let t =
+        match q with
+        | [ t ] ->
           (match s.observe with
           | None -> ()
-          | Some f ->
-            let t = List.hd q in
-            f (Obs.Sched { tid = t.tid; runnable = [| t.tid |] }));
-          0
-        end
-        else begin
-          let tids = Array.of_list (List.map (fun t -> t.tid) q) in
+          | Some f -> f (Obs.Sched { tid = t.tid; runnable = [| t.tid |] }));
+          s.runq <- [];
+          t
+        | _ ->
+          (* candidates in FIFO order: replay and the default pick of
+             alternative 0 rely on it *)
+          let n = List.length q in
+          let tids = Array.make n 0 in
+          List.iteri (fun i t -> tids.(i) <- t.tid) q;
           emit s (Obs.Choice { kind = `Task; candidates = tids });
           let i = s.choose tids in
           if i < 0 || i >= n then
             invalid_arg
               (Printf.sprintf "Detrt: strategy chose %d of %d alternatives" i
-                 n)
-          else begin
-            emit s (Obs.Sched { tid = tids.(i); runnable = tids });
-            i
-          end
-        end
+                 n);
+          emit s (Obs.Sched { tid = tids.(i); runnable = tids });
+          let t, rest = pop_nth i q in
+          s.runq <- rest;
+          t
       in
-      let t = List.nth q idx in
-      s.runq <- List.filteri (fun i _ -> i <> idx) q;
       let k =
         match t.resume with
         | Some k ->
@@ -340,15 +352,8 @@ let mutex () =
 
 let cond () = { cwaiters = []; coid = fresh_oid () }
 
-let pick_waiter s waiters =
-  match waiters with
-  | [] -> assert false
-  | [ w ] -> (w, [])
-  | ws ->
-    let arr = Array.of_list ws in
-    let idx = choose_index s (Array.map (fun t -> t.tid) arr) in
-    let w = arr.(idx) in
-    (w, List.filteri (fun i _ -> i <> idx) ws)
+let pick_waiter s ws =
+  pop_nth (choose_index s (Array.of_list (List.map (fun t -> t.tid) ws))) ws
 
 let mutex_lock m =
   match (dls ()).d_task with
@@ -485,7 +490,9 @@ let reg_wake s roid =
   | [] -> ()
   | ws ->
     let woken, kept =
-      List.partition (fun (_, watched) -> List.mem roid watched) ws
+      List.partition
+        (fun (_, watched) -> List.exists (fun o -> o = roid) watched)
+        ws
     in
     s.regwaiters <- kept;
     List.iter (fun (t, _) -> make_runnable s t) woken
